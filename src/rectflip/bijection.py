@@ -21,7 +21,7 @@ from .permutation import (
 from .rectangulation import (
     GridRectangulation,
     Matrix,
-    Rect,
+    _removable,
     freeze_matrix,
     rho_prime,
     staircase_extraction,
@@ -40,20 +40,6 @@ class Fiber:
 
     def sorted_members(self) -> list[Word]:
         return sorted(self.members)
-
-
-def _removable_from(boxes: dict[int, Rect], heights: tuple[int, ...]) -> list[int]:
-    # Removable = staircase runs along the top edge and does not cut back
-    # over the right edge.  Rectangles already removed fail the first
-    # test because the staircase has moved below their top row.
-    ncols = len(heights)
-    out = []
-    for lab, box in boxes.items():
-        if all(heights[c] == box.top for c in range(box.left, box.right + 1)) and (
-            box.right == ncols - 1 or heights[box.right + 1] >= box.bottom + 1
-        ):
-            out.append(lab)
-    return sorted(out)
 
 
 def fiber(grid: GridRectangulation) -> Fiber:
@@ -77,7 +63,7 @@ def fiber(grid: GridRectangulation) -> Fiber:
         if cached is not None:
             return cached
         sequences = []
-        choices = _removable_from(boxes, heights)
+        choices = [lab for lab, box in boxes.items() if _removable(box, heights, n)]
         assert choices
         for lab in choices:
             box = boxes[lab]

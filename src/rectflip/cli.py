@@ -26,7 +26,7 @@ from .flipgraph import (
     verify_theorem_lr,
     verify_theorem_main,
 )
-from .flips import EdgeUnflippable, FlipKind, classify_edge, flip
+from .flips import EdgeUnflippable, FlipKind, classify_edge, edge_flips, flip
 from .permutation import (
     BAXTER,
     CLASSES_BY_NAME,
@@ -221,13 +221,11 @@ def cmd_perms(args) -> int:
 
 def cmd_flips(args) -> int:
     grid = _load_grid(args.grid)
-    for edge in _sorted_edges(grid):
-        flip_class = classify_edge(grid, edge)
-        if flip_class.flippable:
-            result = format_permutation(block_deletion_word(flip(grid, edge)[0].matrix))
-        else:
-            result = "-"
-        print(f"{grid.edge_id(edge)}  {flip_class}  {result}")
+    for edge, flip_class, result in edge_flips(grid):
+        word = "-"
+        if result is not None:
+            word = format_permutation(block_deletion_word(result[0].matrix))
+        print(f"{grid.edge_id(edge)}  {flip_class}  {word}")
     return 0
 
 
@@ -272,7 +270,10 @@ def cmd_render(args) -> int:
     if args.svg == "-":
         sys.stdout.write(svg)
     else:
-        Path(args.svg).write_text(svg)
+        try:
+            Path(args.svg).write_text(svg)
+        except OSError as exc:
+            raise _Exit(2, str(exc)) from None
     return 0
 
 

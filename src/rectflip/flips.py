@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .rectangulation import (
     Edge,
     GridRectangulation,
     Matrix,
+    _canonical_form,
     canonicalize,
     diagonal_obstruction,
     freeze_matrix,
@@ -122,10 +124,11 @@ def rotated_partition(
     return part1, part2
 
 
-def _repartitioned(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix | None:
+def _repartitioned(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix:
+    # Both callers recut where both parts are boxes: an L-shaped union at
+    # its own T-junction, or a simple edge's box through the diagonal.
     parts = rotated_partition(grid, edge, pivot)
-    if parts is None:
-        return None
+    assert parts is not None
     a, b = grid.edge_labels(edge)
     work = [list(row) for row in grid.matrix]
     for r, c in parts[0]:
@@ -135,31 +138,50 @@ def _repartitioned(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix |
     return freeze_matrix(work)
 
 
-def _rotation_raw(grid: GridRectangulation, edge: Edge) -> Matrix:
-    assert edge.matched_count == 1
-    pivot = edge.start if edge.matched_start else edge.end
-    raw = _repartitioned(grid, edge, pivot)
-    # an L-shaped union always recuts cleanly at its own T-junction
-    assert raw is not None
-    return raw
-
-
-def classify_edge(grid: GridRectangulation, edge: Edge) -> FlipClass:
-    if edge not in grid.interior_edges():
-        raise ValueError(f"not an interior edge of this drawing: {edge}")
+def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix | None]:
+    # The class of an interior edge and, for a rotation, the recut that
+    # classifying it scanned, so that flipping need not scan it again.
     if edge.matched_count == 0:
-        return FlipClass(FlipKind.SIMPLE)
+        return FlipClass(FlipKind.SIMPLE), None
     if edge.matched_count == 2:
-        return FlipClass(FlipKind.UNFLIPPABLE_BOTH_MATCHED)
-    if diagonal_obstruction(_rotation_raw(grid, edge)) is not None:
+        return FlipClass(FlipKind.UNFLIPPABLE_BOTH_MATCHED), None
+    raw = _repartitioned(grid, edge, edge.start if edge.matched_start else edge.end)
+    if diagonal_obstruction(raw) is not None:
         if edge.orient == "h":
             subtype = 1 if edge.matched_start else 2
         else:
             subtype = 3 if edge.matched_start else 4
-        return FlipClass(FlipKind.UNFLIPPABLE_ONE_MATCHED, subtype)
+        return FlipClass(FlipKind.UNFLIPPABLE_ONE_MATCHED, subtype), None
     if edge.crosses_diagonal:
-        return FlipClass(FlipKind.ROTATION_BARCELONA)
-    return FlipClass(FlipKind.ROTATION_LR)
+        return FlipClass(FlipKind.ROTATION_BARCELONA), raw
+    return FlipClass(FlipKind.ROTATION_LR), raw
+
+
+def _check_interior(grid: GridRectangulation, edge: Edge) -> None:
+    if edge not in grid.interior_edges():
+        raise ValueError(f"not an interior edge of this drawing: {edge}")
+
+
+def classify_edge(grid: GridRectangulation, edge: Edge) -> FlipClass:
+    _check_interior(grid, edge)
+    return _classify(grid, edge)[0]
+
+
+def _flip(
+    grid: GridRectangulation, edge: Edge, rotated: Matrix | None
+) -> tuple[GridRectangulation, Edge]:
+    # Flip a flippable edge, given its rotated recut if it has one.
+    a, b = grid.edge_labels(edge)
+    if rotated is None:
+        # the union box holds two consecutive diagonal cells, so the
+        # recut line through the diagonal sits at coordinate a
+        assert b == a + 1
+        flipped, ranks = canonicalize(_repartitioned(grid, edge, a))
+    else:
+        flipped, ranks = _canonical_form(rotated)
+    new_edge = flipped.find_edge(ranks[a], ranks[b])
+    assert new_edge.orient != edge.orient
+    return flipped, new_edge
 
 
 def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge]:
@@ -169,36 +191,34 @@ def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge
     edge between the two re-formed rectangles; flipping that edge gives
     back the input pair.
     """
-    flip_class = classify_edge(grid, edge)
+    _check_interior(grid, edge)
+    flip_class, rotated = _classify(grid, edge)
     if not flip_class.flippable:
         raise EdgeUnflippable(edge, flip_class)
-    a, b = grid.edge_labels(edge)
-    if flip_class.kind is FlipKind.SIMPLE:
-        # the union box holds two consecutive diagonal cells, so the
-        # recut line through the diagonal sits at coordinate a
-        assert b == a + 1
-        raw = _repartitioned(grid, edge, a)
-        assert raw is not None
-    else:
-        raw = _rotation_raw(grid, edge)
-    flipped, ranks = canonicalize(raw)
-    new_edge = flipped.find_edge(ranks[a], ranks[b])
-    assert new_edge.orient != edge.orient
-    return flipped, new_edge
+    return _flip(grid, edge, rotated)
+
+
+def edge_flips(
+    grid: GridRectangulation,
+) -> Iterator[tuple[Edge, FlipClass, tuple[GridRectangulation, Edge] | None]]:
+    """Every interior edge by edge id, its class and, if flippable, its flip.
+
+    Each edge is classified once; a rotation flips the recut that its
+    classification scanned.
+    """
+    for edge in sorted(
+        grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient)
+    ):
+        flip_class, rotated = _classify(grid, edge)
+        flipped = _flip(grid, edge, rotated) if flip_class.flippable else None
+        yield edge, flip_class, flipped
 
 
 def neighbors(
     grid: GridRectangulation,
 ) -> list[tuple[GridRectangulation, FlipClass, Edge]]:
     """Flip results over all flippable edges, ordered by edge id."""
-    out = []
-    for edge in sorted(
-        grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient)
-    ):
-        flip_class = classify_edge(grid, edge)
-        if flip_class.flippable:
-            out.append((flip(grid, edge)[0], flip_class, edge))
-    return out
+    return [(f[0], fc, e) for e, fc, f in edge_flips(grid) if f is not None]
 
 
 def law_reading_edges(grid: GridRectangulation) -> frozenset[Edge]:

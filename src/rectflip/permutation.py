@@ -23,14 +23,6 @@ def check_word(word: Word) -> None:
         raise ValueError(f"not a permutation of 1..{n}: {word!r}")
 
 
-def is_permutation_word(word: Word) -> bool:
-    return sorted(word) == list(range(1, len(word) + 1))
-
-
-def identity(n: int) -> Word:
-    return tuple(range(1, n + 1))
-
-
 def inverse(word: Word) -> Word:
     """Inverse permutation: position of each value.
 

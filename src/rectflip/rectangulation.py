@@ -16,9 +16,9 @@ to (n, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .permutation import Word, check_word
 
@@ -120,16 +120,6 @@ class Geometry:
     vertices: dict[tuple[int, int], Vertex]
     segments: tuple[Segment, ...]
     edges: tuple[Edge, ...]
-
-    def edges_of_segment(self, segment: Segment) -> tuple[Edge, ...]:
-        return tuple(
-            e
-            for e in self.edges
-            if e.orient == segment.orient
-            and e.line == segment.line
-            and segment.start <= e.start
-            and e.end <= segment.end
-        )
 
 
 def geometry(matrix: Matrix) -> Geometry:
@@ -274,6 +264,7 @@ class GridRectangulation:
     """
 
     matrix: Matrix
+    rects: dict[int, Rect] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -297,14 +288,11 @@ class GridRectangulation:
                 }
                 if len(quad) == 4:
                     raise ValueError(f"four rectangles meet at ({r}, {c})")
+        object.__setattr__(self, "rects", boxes)
 
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    @cached_property
-    def rects(self) -> dict[int, Rect]:
-        return bounding_boxes(self.matrix)
 
     @cached_property
     def geometry(self) -> Geometry:
@@ -333,10 +321,27 @@ class GridRectangulation:
         )
 
     def find_edge(self, a: int, b: int) -> Edge:
-        """The unique interior edge separating rectangles a and b."""
-        for e in self.interior_edges():
-            if set(self.edge_labels(e)) == {a, b}:
-                return e
+        """The unique interior edge separating rectangles a and b.
+
+        It is the overlap of the two boxes' sides on the line where one
+        ends and the other starts; no vertex lies inside that overlap.
+        An end is matched when the line is a wall one step past it.
+        """
+        m, box_a, box_b = self.matrix, self.rects.get(a), self.rects.get(b)
+        for x, y in ((box_a, box_b), (box_b, box_a)) if box_a and box_b else ():
+            if x.bottom + 1 == y.top:
+                orient, line = "h", y.top
+                lo, hi = max(x.left, y.left), min(x.right, y.right) + 1
+                walled = lambda t: m[line - 1][t] != m[line][t]
+            elif x.right + 1 == y.left:
+                orient, line = "v", y.left
+                lo, hi = max(x.top, y.top), min(x.bottom, y.bottom) + 1
+                walled = lambda t: m[t][line - 1] != m[t][line]
+            else:
+                continue
+            if lo < hi:
+                matched = (lo > 0 and walled(lo - 1), hi < self.n and walled(hi))
+                return Edge(orient, line, lo, hi, *matched)
         raise ValueError(f"rectangles {a} and {b} share no wall")
 
     def edge_id(self, edge: Edge) -> str:
@@ -422,9 +427,10 @@ def rho_prime(word: Word) -> Matrix:
     return matrix
 
 
-def _removable(box: Rect, heights: list[int], ncols: int) -> bool:
+def _removable(box: Rect, heights: Sequence[int], ncols: int) -> bool:
     # A rectangle peels off the top staircase when the staircase lies
     # exactly on its top edge and does not re-descend at its right side.
+    # One already peeled off fails: the staircase has moved below its top.
     if any(heights[c] != box.top for c in range(box.left, box.right + 1)):
         return False
     return box.right == ncols - 1 or heights[box.right + 1] >= box.bottom + 1
@@ -467,17 +473,6 @@ def extraction_word(matrix: Matrix, rule: str = "leftmost"):
 
 def staircase_extraction(grid: GridRectangulation, rule: str = "leftmost") -> Word:
     return extraction_word(grid.matrix, rule)
-
-
-def removable_now(matrix: Matrix, heights: list[int]) -> list[int]:
-    """Labels of rectangles currently removable from the top staircase."""
-    ncols = len(matrix[0])
-    return sorted(
-        lab
-        for lab, box in bounding_boxes(matrix).items()
-        if all(heights[c] >= box.top for c in range(box.left, box.right + 1))
-        and _removable(box, heights, ncols)
-    )
 
 
 def _top_left_deletion_ranks(matrix: Matrix) -> dict[int, int]:
@@ -528,6 +523,12 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
     violation = diagonal_obstruction(matrix)
     if violation is not None:
         raise NotDiagonalError(violation)
+    return _canonical_form(matrix)
+
+
+def _canonical_form(matrix: Matrix) -> tuple[GridRectangulation, dict[int, int]]:
+    # The body of canonicalize, for a matrix that its caller has already
+    # found free of diagonal obstructions.
     rank = _top_left_deletion_ranks(matrix)
     raw_word = extraction_word(matrix, "leftmost")
     sigma = tuple(rank[lab] for lab in raw_word)

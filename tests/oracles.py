@@ -39,6 +39,14 @@ def brute_fibers(n: int) -> dict[tuple, set[Word]]:
     return dict(groups)
 
 
+def find_edge_by_scan(grid, a: int, b: int):
+    """The interior edge separating rectangles a and b, by testing every edge."""
+    for e in grid.interior_edges():
+        if set(grid.edge_labels(e)) == {a, b}:
+            return e
+    raise ValueError(f"rectangles {a} and {b} share no wall")
+
+
 def inversion_pairs(word: Word) -> frozenset[tuple[int, int]]:
     n = len(word)
     pos = {v: i for i, v in enumerate(word)}

@@ -222,6 +222,13 @@ def test_render_to_file(tmp_path):
     assert render_svg(rho((1, 2))) == SVG_CUT
 
 
+def test_render_to_unwritable_path(tmp_path):
+    for target in (tmp_path / "no_such_dir" / "out.svg", tmp_path):
+        code, out, err = run(["render", "--svg", str(target)], "1 2\n1 2\n")
+        assert (code, out) == (2, "")
+        assert str(target) in err and "Traceback" not in err
+
+
 def test_missing_grid_file():
     code, out, err = run(["flips", "/no/such/file"])
     assert (code, out) == (2, "")

@@ -224,6 +224,26 @@ def test_one_matched_subtypes_encode_geometry():
     assert seen == {1, 2, 3, 4}
 
 
+def test_neighbors_scans_each_recut_once(monkeypatch):
+    # A one-end-matched edge is scanned while it is classified, and a
+    # rotation flip reuses that scan; a simple flip's recut is scanned
+    # once, by canonicalize.  Nothing is scanned twice.
+    grids_5 = list(build(5).grids.values())
+    scanned = []
+
+    def counting(matrix):
+        scanned.append(matrix)
+        return obstruction(matrix)
+
+    obstruction = rf.rectangulation.diagonal_obstruction
+    monkeypatch.setattr(rf.flips, "diagonal_obstruction", counting)
+    monkeypatch.setattr(rf.rectangulation, "diagonal_obstruction", counting)
+    for g in grids_5:
+        scanned.clear()
+        neighbors(g)
+        assert len(scanned) == sum(e.matched_count < 2 for e in g.interior_edges())
+
+
 def test_neighbors_listing():
     for n in range(2, 5):
         for g in grids(n):

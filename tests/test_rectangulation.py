@@ -23,7 +23,7 @@ from rectflip.rectangulation import (
     twin_trees,
 )
 
-from oracles import brute_fibers
+from oracles import brute_fibers, find_edge_by_scan
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -108,6 +108,32 @@ def test_interior_edge_ids_of_worked_example():
     assert edge.orient == "h" and grid.edge_labels(edge) == (5, 6)
     with pytest.raises(ValueError):
         grid.find_edge(1, 6)
+
+
+def test_find_edge_matches_scan_oracle():
+    # every ordered pair of distinct labels, walls shared or not
+    def outcome(find, grid, a, b):
+        try:
+            return find(grid, a, b)
+        except ValueError as exc:
+            return str(exc)
+
+    pairs = 0
+    for n in range(1, 7):
+        for w in rf.enumerate_avoiders(n, rf.BAXTER):
+            grid = rho(w)
+            for a, b in itertools.permutations(range(1, n + 1), 2):
+                pairs += 1
+                expected = outcome(find_edge_by_scan, grid, a, b)
+                assert outcome(GridRectangulation.find_edge, grid, a, b) == expected
+    assert pairs == 14804
+
+
+def test_grid_keeps_validated_boxes():
+    grid = rho((4, 1, 6, 5, 3, 7, 2))
+    assert grid.rects == bounding_boxes(grid.matrix)
+    assert grid == GridRectangulation(grid.matrix)
+    assert hash(grid) == hash(GridRectangulation(grid.matrix))
 
 
 def test_diagonal_crossing_flag():
