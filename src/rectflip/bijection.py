@@ -3,26 +3,25 @@
 Many insertion orders draw the same grid.  The fiber of a drawing is
 the set of all of them, computed by undoing insertions in every
 possible order.  Each fiber holds exactly one permutation from each of
-the named pattern classes; ``baxter_of`` selects the Baxter one, which
-keys everything downstream (flip graphs, the lattice, exports).
+the named pattern classes, and ``unique_class_member`` finds it by
+filtering the fiber.  The three distinguished members are also read
+off the drawing directly, without the fiber: ``baxter_of`` by
+bottom-left block deletion, which keys everything downstream (flip
+graphs, the lattice, exports), and the twisted-Baxter and rightmost
+members by staircase extraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutation import (
-    BAXTER,
-    PatternClass,
-    Word,
-    avoids_class,
-    inverse,
-)
+from .permutation import PatternClass, Word, avoids_class, inverse
 from .rectangulation import (
     GridRectangulation,
     Matrix,
     _removable,
-    freeze_matrix,
+    block_delete_bottom_left,  # re-exported
+    block_deletion_word,
     rho_prime,
     staircase_extraction,
 )
@@ -91,11 +90,12 @@ def unique_class_member(grid: GridRectangulation, pclass: PatternClass) -> Word:
 def baxter_of(grid: GridRectangulation) -> Word:
     """The Baxter representative of the fiber.
 
-    Defined by exhaustive filter over the fiber; the block-deletion fast
-    path (:func:`block_deletion_word`) must produce the same answer and
-    is held to that in the test suite.
+    Read off by bottom-left block deletion (:func:`block_deletion_word`)
+    without enumerating the fiber, so it works at any size;
+    :func:`unique_class_member` with ``BAXTER`` is the filter it must
+    agree with.
     """
-    return unique_class_member(grid, BAXTER)
+    return block_deletion_word(grid.matrix)
 
 
 def twisted_baxter_of(grid: GridRectangulation) -> Word:
@@ -109,61 +109,6 @@ def twisted_baxter_of(grid: GridRectangulation) -> Word:
 def rightmost_of(grid: GridRectangulation) -> Word:
     """The rightmost drawing order, top of the fiber's weak-order interval."""
     return staircase_extraction(grid, "rightmost")
-
-
-def block_delete_bottom_left(matrix: Matrix) -> tuple[int, Matrix]:
-    """Remove the rectangle at the bottom-left corner of the drawing.
-
-    Either its neighbours to the right slide left or its neighbours
-    above slide down; exactly one of the two keeps every remaining part
-    a rectangle.  Returns the removed label and the renormalised drawing
-    (same cell grid, one fewer rectangle).  Works on any drawing
-    convention since it never consults labels beyond equality.
-    """
-    work = [list(row) for row in matrix]
-    nrows, ncols = len(work), len(work[0])
-    lab = work[nrows - 1][0]
-    if all(v == lab for row in work for v in row):
-        raise ValueError("cannot delete the last rectangle")
-    t = min(r for r in range(nrows) if work[r][0] == lab)
-    rr = max(c for c in range(ncols) if work[nrows - 1][c] == lab)
-    right_ok = rr + 1 < ncols and (t == 0 or work[t - 1][rr] == work[t - 1][rr + 1])
-    top_ok = t > 0 and (rr + 1 == ncols or work[t - 1][rr + 1] == work[t][rr + 1])
-    # neither sliding direction applying would put four rectangles
-    # around the corner point; both applying would make the neighbour
-    # L-shaped
-    assert right_ok != top_ok
-    if right_ok:
-        for r in range(t, nrows):
-            v = work[r][rr + 1]
-            for c in range(rr + 1):
-                work[r][c] = v
-    else:
-        for c in range(rr + 1):
-            v = work[t - 1][c]
-            for r in range(t, nrows):
-                work[r][c] = v
-    return lab, freeze_matrix(work)
-
-
-def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:
-    """Labels in bottom-left deletion order.
-
-    The rectangle deleted first is the one inserted first, so on a
-    canonical grid this reads out a member of the fiber directly; it is
-    the Baxter member, which the test suite pins against
-    :func:`baxter_of`.  The word is also a complete invariant of the
-    drawing's equivalence class under wall slides.
-    """
-    matrix = freeze_matrix(matrix)
-    labels = {v for row in matrix for v in row}
-    order = []
-    while len(labels) > 1:
-        lab, matrix = block_delete_bottom_left(matrix)
-        order.append(lab)
-        labels.remove(lab)
-    order.append(labels.pop())
-    return tuple(order)
 
 
 def slash_representative(grid: GridRectangulation) -> Matrix:

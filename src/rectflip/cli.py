@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bijection import block_deletion_word, fiber, rightmost_of, twisted_baxter_of
+from .bijection import baxter_of, fiber, rightmost_of, twisted_baxter_of
 from .flipgraph import (
     FlipGraph,
     build,
@@ -26,22 +26,21 @@ from .flipgraph import (
     verify_theorem_lr,
     verify_theorem_main,
 )
-from .flips import EdgeUnflippable, FlipKind, classify_edge, edge_flips, flip
+from .flips import (
+    EdgeUnflippable,
+    FlipKind,
+    classify_edge,
+    edge_flips,
+    flip,
+    sorted_edges,
+)
 from .permutation import (
-    BAXTER,
     CLASSES_BY_NAME,
-    avoids_class,
     enumerate_avoiders,
     format_permutation,
     parse_permutation,
 )
-from .rectangulation import (
-    Edge,
-    GridRectangulation,
-    Matrix,
-    bounding_boxes,
-    rho,
-)
+from .rectangulation import GridRectangulation, Matrix, bounding_boxes, rho
 
 MAX_GRAPH_N = 8
 
@@ -93,12 +92,12 @@ def parse_grid(text: str) -> Matrix:
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
     try:
-        return Path(source).read_text()
+        return sys.stdin.read() if source == "-" else Path(source).read_text()
     except OSError as exc:
         raise _Exit(2, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _Exit(2, f"{source}: {exc}") from None
 
 
 def _load_grid(source: str) -> GridRectangulation:
@@ -121,10 +120,6 @@ def _parse_perm(text: str):
         raise _Exit(2, str(exc)) from None
 
 
-def _sorted_edges(grid: GridRectangulation) -> list[Edge]:
-    return sorted(grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient))
-
-
 def render_svg(grid: GridRectangulation, style: RenderStyle = RenderStyle()) -> str:
     """The drawing with interior edges colored by flip class."""
     n = grid.n
@@ -144,7 +139,7 @@ def render_svg(grid: GridRectangulation, style: RenderStyle = RenderStyle()) -> 
         f'  <rect x="{x_at(0)}" y="{y_at(0)}" width="{side}" height="{side}" '
         f'fill="white" stroke="{style.wall}" stroke-width="2"/>',
     ]
-    for edge in _sorted_edges(grid):
+    for edge in sorted_edges(grid):
         color = style.color(classify_edge(grid, edge).kind)
         if edge.orient == "h":
             x1, y1 = x_at(edge.start), y_at(edge.line)
@@ -207,15 +202,13 @@ def cmd_map(args) -> int:
 def cmd_perms(args) -> int:
     grid = _load_grid(args.grid)
     try:
-        members = fiber(grid).members
+        size = len(fiber(grid))
     except ValueError as exc:
         raise _Exit(2, str(exc)) from None
-    baxter = [w for w in members if avoids_class(w, BAXTER)]
-    assert len(baxter) == 1
-    print(f"baxter {format_permutation(baxter[0])}")
+    print(f"baxter {format_permutation(baxter_of(grid))}")
     print(f"twisted {format_permutation(twisted_baxter_of(grid))}")
     print(f"rightmost {format_permutation(rightmost_of(grid))}")
-    print(f"fiber {len(members)}")
+    print(f"fiber {size}")
     return 0
 
 
@@ -224,7 +217,7 @@ def cmd_flips(args) -> int:
     for edge, flip_class, result in edge_flips(grid):
         word = "-"
         if result is not None:
-            word = format_permutation(block_deletion_word(result[0].matrix))
+            word = format_permutation(baxter_of(result[0]))
         print(f"{grid.edge_id(edge)}  {flip_class}  {word}")
     return 0
 

@@ -254,16 +254,25 @@ def verify_characterization(n: int) -> VerificationReport:
     )
 
 
+def _fibers(n: int) -> dict[Matrix, list[Word]]:
+    # Every permutation of size n, grouped by the drawing it produces.
+    groups: dict[Matrix, list[Word]] = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        groups.setdefault(rho(w).matrix, []).append(w)
+    return groups
+
+
 def verify_counts(n: int) -> VerificationReport:
-    """Node inventory against the fiber-grouping oracle and the selection map.
+    """Node inventory against the grouping of S_n and the Baxter selector.
 
     Groups every permutation by drawing; the set of drawings must match
-    the nodes exactly, and selecting the Baxter member of each node's
-    fiber must return the node's own key.
+    the nodes exactly, and bottom-left block deletion on each node's
+    drawing (:func:`rectflip.bijection.baxter_of`) must return the
+    node's own key, the Baxter word that drew it.
     """
     fg = build(n)
     failures = []
-    distinct = {rho(w).matrix for w in itertools.permutations(range(1, n + 1))}
+    distinct = _fibers(n).keys()
     node_matrices = {grid.matrix for grid in fg.grids.values()}
     if len(fg.nodes) != len(distinct):
         failures.append(
@@ -290,9 +299,7 @@ def verify_inversion(n: int) -> VerificationReport:
     full interval between them, and each of the three pattern classes
     contributes exactly one member.
     """
-    groups: dict[Matrix, list[Word]] = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        groups.setdefault(rho(w).matrix, []).append(w)
+    groups = _fibers(n)
     masks = {w: inversion_mask(w) for members in groups.values() for w in members}
     failures = []
     for matrix, members in groups.items():

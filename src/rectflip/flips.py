@@ -198,17 +198,24 @@ def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge
     return _flip(grid, edge, rotated)
 
 
+def sorted_edges(grid: GridRectangulation) -> list[Edge]:
+    """Interior edges ordered by their two labels, then orientation.
+
+    The order of every per-edge listing: ``neighbors``, ``rectflip
+    flips`` and the lines of an SVG rendering.
+    """
+    return sorted(grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient))
+
+
 def edge_flips(
     grid: GridRectangulation,
 ) -> Iterator[tuple[Edge, FlipClass, tuple[GridRectangulation, Edge] | None]]:
-    """Every interior edge by edge id, its class and, if flippable, its flip.
+    """Every interior edge, its class and, if flippable, its flip.
 
-    Each edge is classified once; a rotation flips the recut that its
-    classification scanned.
+    Edges come in :func:`sorted_edges` order.  Each edge is classified
+    once; a rotation flips the recut that its classification scanned.
     """
-    for edge in sorted(
-        grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient)
-    ):
+    for edge in sorted_edges(grid):
         flip_class, rotated = _classify(grid, edge)
         flipped = _flip(grid, edge, rotated) if flip_class.flippable else None
         yield edge, flip_class, flipped
@@ -217,7 +224,7 @@ def edge_flips(
 def neighbors(
     grid: GridRectangulation,
 ) -> list[tuple[GridRectangulation, FlipClass, Edge]]:
-    """Flip results over all flippable edges, ordered by edge id."""
+    """Flip results over all flippable edges, in :func:`sorted_edges` order."""
     return [(f[0], fc, e) for e, fc, f in edge_flips(grid) if f is not None]
 
 

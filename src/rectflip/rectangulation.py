@@ -475,41 +475,66 @@ def staircase_extraction(grid: GridRectangulation, rule: str = "leftmost") -> Wo
     return extraction_word(grid.matrix, rule)
 
 
-def _top_left_deletion_ranks(matrix: Matrix) -> dict[int, int]:
-    # Repeatedly delete the rectangle at the top-left corner, letting its
-    # right neighbours or its lower neighbours absorb the freed space.
-    # The deletion order ranks the labels; on a canonical drawing the
-    # rank of label i is i itself.
-    work = [list(row) for row in matrix]
+def _delete_bottom_left(work: list[list[int]]) -> int:
+    # block_delete_bottom_left on a mutable copy, in place; returns the
+    # deleted label.
     nrows, ncols = len(work), len(work[0])
-    rank: dict[int, int] = {}
-    while True:
-        lab = work[0][0]
-        if all(v == lab for row in work for v in row):
-            rank[lab] = len(rank) + 1
-            return rank
-        b = max(r for r in range(nrows) if work[r][0] == lab)
-        rr = max(c for c in range(ncols) if work[0][c] == lab)
-        bottom_ok = b + 1 < nrows and (
-            rr + 1 == ncols or work[b][rr + 1] == work[b + 1][rr + 1]
-        )
-        right_ok = rr + 1 < ncols and (
-            b + 1 == nrows or work[b + 1][rr] == work[b + 1][rr + 1]
-        )
-        # exactly one absorption direction keeps all parts rectangles;
-        # both failing would force four rectangles around one point
-        assert bottom_ok != right_ok
-        rank[lab] = len(rank) + 1
-        if bottom_ok:
-            for c in range(rr + 1):
-                v = work[b + 1][c]
-                for r in range(b + 1):
-                    work[r][c] = v
-        else:
-            for r in range(b + 1):
-                v = work[r][rr + 1]
-                for c in range(rr + 1):
-                    work[r][c] = v
+    bottom = work[-1]
+    lab = bottom[0]
+    t = nrows - 1
+    while t > 0 and work[t - 1][0] == lab:
+        t -= 1
+    rr = 0
+    while rr + 1 < ncols and bottom[rr + 1] == lab:
+        rr += 1
+    if t == 0 and rr + 1 == ncols:
+        raise ValueError("cannot delete the last rectangle")
+    right_ok = rr + 1 < ncols and (t == 0 or work[t - 1][rr] == work[t - 1][rr + 1])
+    top_ok = t > 0 and (rr + 1 == ncols or work[t - 1][rr + 1] == work[t][rr + 1])
+    # neither sliding direction applying would put four rectangles
+    # around the corner point; both applying would make the neighbour
+    # L-shaped
+    assert right_ok != top_ok
+    if right_ok:
+        for r in range(t, nrows):
+            row = work[r]
+            row[: rr + 1] = [row[rr + 1]] * (rr + 1)
+    else:
+        above = work[t - 1][: rr + 1]
+        for r in range(t, nrows):
+            work[r][: rr + 1] = above
+    return lab
+
+
+def block_delete_bottom_left(matrix: Matrix) -> tuple[int, Matrix]:
+    """Remove the rectangle at the bottom-left corner of the drawing.
+
+    Either its neighbours to the right slide left or its neighbours
+    above slide down; exactly one of the two keeps every remaining part
+    a rectangle.  Returns the removed label and the renormalised drawing
+    (same cell grid, one fewer rectangle).  Works on any drawing
+    convention since it never consults labels beyond equality.
+    """
+    work = [list(row) for row in matrix]
+    lab = _delete_bottom_left(work)
+    return lab, freeze_matrix(work)
+
+
+def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:
+    """Labels in bottom-left deletion order.
+
+    The rectangle deleted first is the one inserted first, so on a
+    canonical grid this reads out a member of the fiber directly: the
+    Baxter member, which the test suite pins against the fiber filter
+    :func:`rectflip.bijection.unique_class_member`.  The word is also a
+    complete invariant of the drawing's equivalence class under wall
+    slides.
+    """
+    work = [list(row) for row in matrix]
+    count = len({lab for row in work for lab in row})
+    order = [_delete_bottom_left(work) for _ in range(count - 1)]
+    order.append(work[-1][0])
+    return tuple(order)
 
 
 def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
@@ -529,8 +554,13 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
 def _canonical_form(matrix: Matrix) -> tuple[GridRectangulation, dict[int, int]]:
     # The body of canonicalize, for a matrix that its caller has already
     # found free of diagonal obstructions.
-    rank = _top_left_deletion_ranks(matrix)
     raw_word = extraction_word(matrix, "leftmost")
+    # Deleting top-left corners ranks the labels so that, on a canonical
+    # drawing, label i has rank i; that is bottom-left deletion of the
+    # row-reflected drawing.
+    rank = {
+        lab: i for i, lab in enumerate(block_deletion_word(reflect_rows(matrix)), 1)
+    }
     sigma = tuple(rank[lab] for lab in raw_word)
     check_word(sigma)
     return rho(sigma), rank

@@ -47,6 +47,44 @@ def find_edge_by_scan(grid, a: int, b: int):
     raise ValueError(f"rectangles {a} and {b} share no wall")
 
 
+def _top_left_deletion_ranks(matrix) -> dict[int, int]:
+    """Labels ranked by repeatedly deleting the top-left rectangle.
+
+    Its right neighbours or its lower neighbours absorb the freed space.
+    On a canonical drawing the rank of label i is i itself.
+    """
+    work = [list(row) for row in matrix]
+    nrows, ncols = len(work), len(work[0])
+    rank: dict[int, int] = {}
+    while True:
+        lab = work[0][0]
+        if all(v == lab for row in work for v in row):
+            rank[lab] = len(rank) + 1
+            return rank
+        b = max(r for r in range(nrows) if work[r][0] == lab)
+        rr = max(c for c in range(ncols) if work[0][c] == lab)
+        bottom_ok = b + 1 < nrows and (
+            rr + 1 == ncols or work[b][rr + 1] == work[b + 1][rr + 1]
+        )
+        right_ok = rr + 1 < ncols and (
+            b + 1 == nrows or work[b + 1][rr] == work[b + 1][rr + 1]
+        )
+        # exactly one absorption direction keeps all parts rectangles;
+        # both failing would force four rectangles around one point
+        assert bottom_ok != right_ok
+        rank[lab] = len(rank) + 1
+        if bottom_ok:
+            for c in range(rr + 1):
+                v = work[b + 1][c]
+                for r in range(b + 1):
+                    work[r][c] = v
+        else:
+            for r in range(b + 1):
+                v = work[r][rr + 1]
+                for c in range(rr + 1):
+                    work[r][c] = v
+
+
 def inversion_pairs(word: Word) -> frozenset[tuple[int, int]]:
     n = len(word)
     pos = {v: i for i, v in enumerate(word)}

@@ -91,7 +91,21 @@ def test_block_deletion_agrees_with_fiber_filter():
     for n in range(1, 8):
         for word in rf.enumerate_avoiders(n, rf.BAXTER):
             grid = rho(word)
-            assert block_deletion_word(grid.matrix) == baxter_of(grid) == word
+            assert block_deletion_word(grid.matrix) == word
+            assert unique_class_member(grid, rf.BAXTER) == word
+
+
+def test_baxter_selector_past_the_fiber_cap():
+    n = FIBER_CAP + 2
+    ident = tuple(range(1, n + 1))
+    for word in (ident, (3, 1, 2, 6, 5, 4, 12, 10, 11, 7, 9, 8)):
+        # separable words avoid 2413 and 3142, so they are Baxter
+        assert avoids_class(word, rf.SEPARABLE) and avoids_class(word, rf.BAXTER)
+        grid = rho(word)
+        assert baxter_of(grid) == word
+        slash = slash_representative(grid)
+        assert antidiagonal_reading(slash) == block_deletion_word(slash) == ident
+        assert slash_consistency_problems(grid) == []
 
 
 def test_unique_class_member_per_fiber():

@@ -235,6 +235,16 @@ def test_missing_grid_file():
     assert "/no/such/file" in err
 
 
+def test_grid_file_not_utf8(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(b"\xff\xfe1 2\n1 2\n")
+    for command in ("perms", "flips", "render"):
+        argv = [command, str(path)] + (["--svg", "-"] if command == "render" else [])
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}: ") and "can't decode byte 0xff" in err
+
+
 def test_bad_arguments_exit_via_argparse():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "3", "--theorem", "bogus"])

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rectflip as rf
+from rectflip.flips import FlipKind, _classify, _repartitioned
 from rectflip.permutation import avoids_class
 from rectflip.rectangulation import (
     GridRectangulation,
@@ -23,7 +24,7 @@ from rectflip.rectangulation import (
     twin_trees,
 )
 
-from oracles import brute_fibers, find_edge_by_scan
+from oracles import _top_left_deletion_ranks, brute_fibers, find_edge_by_scan
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -213,6 +214,40 @@ def test_canonicalize_fixes_canonical_grids():
             same, ranks = canonicalize(grid.matrix)
             assert same.matrix == grid.matrix
             assert all(ranks[i] == i for i in range(1, n + 1))
+
+
+def _recuts(grid):
+    # What a flip hands to canonicalization: each rotation recut that
+    # classifying an edge scans, and each simple edge's box recut
+    # through the diagonal.
+    for edge in grid.interior_edges():
+        flip_class, rotated = _classify(grid, edge)
+        if rotated is not None:
+            yield rotated
+        elif flip_class.kind is FlipKind.SIMPLE:
+            yield _repartitioned(grid, edge, grid.edge_labels(edge)[0])
+
+
+def test_canonical_ranks_match_top_left_deletion_oracle():
+    checked = 0
+    for n in range(1, 7):
+        for word in rf.enumerate_avoiders(n, rf.BAXTER):
+            grid = rho(word)
+            for matrix in (grid.matrix, *_recuts(grid)):
+                assert canonicalize(matrix)[1] == _top_left_deletion_ranks(matrix)
+                checked += 1
+    assert checked == 4219
+
+
+@given(st.data())
+def test_canonical_ranks_match_oracle_sampled(data):
+    word = data.draw(words(1, 20))
+    labels = data.draw(st.permutations(range(1, len(word) + 1)))
+    grid = rho(word)
+    mapping = dict(zip(range(1, len(word) + 1), labels))
+    for matrix in (grid.matrix, *_recuts(grid)):
+        matrix = relabel(matrix, mapping)
+        assert canonicalize(matrix)[1] == _top_left_deletion_ranks(matrix)
 
 
 def test_extraction_word_round_trips():
