@@ -4,14 +4,15 @@ A permutation is stored as a tuple of values, so ``(3, 1, 2)`` is the
 permutation sending position 1 to 3, position 2 to 1, position 3 to 2.
 Patterns are given in dashed notation: ``"2-41-3"`` is the classical
 pattern 2413 with the extra requirement that the 4 and the 1 occupy
-adjacent positions in the host permutation.
+adjacent positions in the host permutation.  An occurrence inside a
+prefix is an occurrence in the whole word, so every standardised prefix
+of an avoider is an avoider, and avoiders are grown one appended letter
+at a time, checking only the occurrences that end at the new letter.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -168,51 +169,47 @@ CLASSES_BY_NAME = {
 }
 
 
-def _contains_mid_glued_extremes(word: Word, pattern: Word) -> bool:
-    # Specialised matcher for the length-4 patterns used throughout this
-    # package: the middle two letters are {1, 4} and must sit in adjacent
-    # host positions, the outer two letters are {2, 3}.  Scan each
-    # adjacent host pair as the 14/41 block, then look for an extremal
-    # witness on each side.
-    p1, p2, p3, p4 = pattern
-    n = len(word)
-    for i in range(1, n - 2):
-        v2, v3 = word[i], word[i + 1]
-        if (v2 < v3) != (p2 < p3):
-            continue
-        lo, hi = min(v2, v3), max(v2, v3)
-        left = [v for v in word[:i] if lo < v < hi]
-        if not left:
-            continue
-        if p1 < p4:
-            v1 = min(left)
-            if any(v1 < v < hi for v in word[i + 2 :]):
+def _ends_at(word: Word, end: int, pattern: VincularPattern) -> bool:
+    """True when some occurrence of the pattern has its last letter at word[end]."""
+    pat, glued = pattern.word, pattern.glued
+    k = len(pat)
+    if end < k - 1:
+        return False
+    last, q_last = word[end], pat[-1]
+    if k == 4 and glued == {2} and {pat[1], pat[2]} == {1, 4}:
+        # The length-4 patterns used throughout this package: the 14/41
+        # block is an adjacent host pair left of the last letter, and the
+        # first letter is the nearest value below or above the last letter
+        # among the entries before the block.
+        rising, first_below = pat[1] < pat[2], pat[0] < q_last
+        below, above = 0, len(word) + 1
+        for i in range(1, end - 1):
+            u = word[i - 1]
+            if below < u < last:
+                below = u
+            elif last < u < above:
+                above = u
+            v2, v3 = word[i], word[i + 1]
+            if (v2 < v3) != rising:
+                continue
+            lo, hi = (v2, v3) if v2 < v3 else (v3, v2)
+            if lo < last < hi and (below > lo if first_below else above < hi):
                 return True
-        else:
-            v1 = max(left)
-            if any(lo < v < v1 for v in word[i + 2 :]):
-                return True
-    return False
+        return False
 
-
-def _contains_general(word: Word, pattern: Word, glued: frozenset[int]) -> bool:
-    k = len(pattern)
-    n = len(word)
-
+    # Backtrack over the first k - 1 letters, all left of end, comparing
+    # each candidate with the fixed last letter as well.
     def extend(values: list[int], last_pos: int) -> bool:
         j = len(values)
-        if j == k:
-            return True
-        q = pattern[j]
-        if j > 0 and j in glued:
-            candidates: Iterable[int] = (
-                (last_pos + 1,) if last_pos + 1 < n else ()
-            )
-        else:
-            candidates = range(last_pos + 1, n)
-        for pos in candidates:
+        if j == k - 1:
+            return j not in glued or last_pos + 1 == end
+        q = pat[j]
+        stop = min(last_pos + 2, end) if j in glued else end
+        for pos in range(last_pos + 1, stop):
             v = word[pos]
-            if all((v > u) == (q > p) for p, u in zip(pattern, values)):
+            if (v > last) == (q > q_last) and all(
+                (v > u) == (q > p) for p, u in zip(pat, values)
+            ):
                 values.append(v)
                 if extend(values, pos):
                     return True
@@ -224,29 +221,30 @@ def _contains_general(word: Word, pattern: Word, glued: frozenset[int]) -> bool:
 
 def contains_vincular(word: Word, pattern: VincularPattern) -> bool:
     """True when word contains an occurrence of the vincular pattern."""
-    pat = pattern.word
-    if len(word) < len(pat):
-        return False
-    if (
-        len(pat) == 4
-        and pattern.glued == frozenset({2})
-        and {pat[1], pat[2]} == {1, 4}
-        and {pat[0], pat[3]} == {2, 3}
-    ):
-        return _contains_mid_glued_extremes(word, pat)
-    return _contains_general(word, pat, pattern.glued)
+    ends = range(len(pattern.word) - 1, len(word))
+    return any(_ends_at(word, end, pattern) for end in ends)
 
 
 def avoids_class(word: Word, pclass: PatternClass) -> bool:
     return not any(contains_vincular(word, p) for p in pclass.patterns)
 
 
-def iter_avoiders(n: int, pclass: PatternClass) -> Iterator[Word]:
-    for word in itertools.permutations(range(1, n + 1)):
-        if avoids_class(word, pclass):
-            yield word
-
-
 def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
-    """All avoiders of the class in lexicographic order."""
-    return list(iter_avoiders(n, pclass))
+    """All avoiders of the class in lexicographic order.
+
+    Level k grows from level k - 1 by raising every entry >= v and
+    appending v, for each v in 1..k.  Every standardised prefix of an
+    avoider is an avoider, so this misses none, and a prefix holds no
+    occurrence, so only occurrences ending at v need checking.
+    """
+    level: list[Word] = [()]
+    for k in range(1, n + 1):
+        level = [
+            word
+            for prefix in level
+            for v in range(1, k + 1)
+            for word in (tuple(u + (u >= v) for u in prefix) + (v,),)
+            if not any(_ends_at(word, k - 1, p) for p in pclass.patterns)
+        ]
+    level.sort()
+    return level

@@ -15,20 +15,42 @@ import rectflip as rf
 Word = tuple[int, ...]
 
 
+def _is_occurrence(word: Word, positions, pattern: Word, glued: frozenset[int]) -> bool:
+    k = len(pattern)
+    if any(positions[i] + 1 != positions[i + 1] for i in range(k - 1) if (i + 1) in glued):
+        return False
+    values = [word[p] for p in positions]
+    return all(
+        (values[i] < values[j]) == (pattern[i] < pattern[j])
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+
+
 def brute_contains(word: Word, pattern: Word, glued: frozenset[int]) -> bool:
     """Scan every index subsequence for an order-isomorphic occurrence."""
-    k = len(pattern)
-    for positions in itertools.combinations(range(len(word)), k):
-        if any(positions[i] + 1 != positions[i + 1] for i in range(k - 1) if (i + 1) in glued):
-            continue
-        values = [word[p] for p in positions]
-        if all(
-            (values[i] < values[j]) == (pattern[i] < pattern[j])
-            for i in range(k)
-            for j in range(i + 1, k)
-        ):
-            return True
-    return False
+    return any(
+        _is_occurrence(word, positions, pattern, glued)
+        for positions in itertools.combinations(range(len(word)), len(pattern))
+    )
+
+
+def brute_ends_at(word: Word, end: int, pattern: Word, glued: frozenset[int]) -> bool:
+    """brute_contains restricted to index subsequences whose last index is end."""
+    return any(
+        _is_occurrence(word, (*head, end), pattern, glued)
+        for head in itertools.combinations(range(end), len(pattern) - 1)
+    )
+
+
+def filter_avoiders(n: int, patterns) -> list[Word]:
+    """The filter: every permutation of 1..n, in lexicographic order, in
+    which brute_contains finds none of the patterns."""
+    return [
+        word
+        for word in itertools.permutations(range(1, n + 1))
+        if not any(brute_contains(word, p.word, p.glued) for p in patterns)
+    ]
 
 
 def brute_fibers(n: int) -> dict[tuple, set[Word]]:

@@ -11,7 +11,9 @@ from rectflip.permutation import (
     S_CLASS,
     SEPARABLE,
     TWISTED_BAXTER,
+    PatternClass,
     VincularPattern,
+    _ends_at,
     adjacent_position_swap,
     avoids_class,
     check_word,
@@ -24,7 +26,7 @@ from rectflip.permutation import (
     parse_permutation,
 )
 
-from oracles import brute_contains
+from oracles import brute_contains, brute_ends_at, filter_avoiders
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -33,6 +35,13 @@ words = lambda lo, hi: st.integers(lo, hi).flatmap(
 ALL_PATTERNS = sorted(
     {p for cls in CLASSES_BY_NAME.values() for p in cls.patterns},
     key=str,
+)
+
+# Two classes outside the package: 3-12 is not closed under deleting the
+# largest entry (3142 avoids it, 312 does not), and 231, 21 is fully glued.
+EXTRA_CLASSES = tuple(
+    PatternClass(name, tuple(VincularPattern.from_dashed(d) for d in name.split(",")))
+    for name in ("3-12", "231,21")
 )
 
 
@@ -103,6 +112,17 @@ def test_matcher_agrees_with_brute_force_exhaustively():
                 ), (host, str(pattern))
 
 
+def test_end_anchored_matcher_agrees_with_brute_force_exhaustively():
+    extra = [VincularPattern.from_dashed(d) for d in ("231", "21", "3-12")]
+    for n in range(1, 7):
+        for host in itertools.permutations(range(1, n + 1)):
+            for end in range(n):
+                for pattern in ALL_PATTERNS + extra:
+                    assert _ends_at(host, end, pattern) == brute_ends_at(
+                        host, end, pattern.word, pattern.glued
+                    ), (host, end, str(pattern))
+
+
 @given(words(1, 7), st.sampled_from(ALL_PATTERNS))
 def test_matcher_agrees_with_brute_force(host, pattern):
     assert contains_vincular(host, pattern) == brute_contains(
@@ -111,8 +131,9 @@ def test_matcher_agrees_with_brute_force(host, pattern):
 
 
 def test_avoider_counts():
-    assert [len(enumerate_avoiders(n, BAXTER)) for n in range(1, 9)] == [
-        1, 2, 6, 22, 92, 422, 2074, 10754,
+    # n = 9 is past the reach of the filter oracle below (OEIS A001181).
+    assert [len(enumerate_avoiders(n, BAXTER)) for n in range(1, 10)] == [
+        1, 2, 6, 22, 92, 422, 2074, 10754, 58202,
     ]
     assert [len(enumerate_avoiders(n, SEPARABLE)) for n in range(1, 8)] == [
         1, 2, 6, 22, 90, 394, 1806,
@@ -127,6 +148,19 @@ def test_three_classes_are_equinumerous():
         base = len(enumerate_avoiders(n, BAXTER))
         assert len(enumerate_avoiders(n, TWISTED_BAXTER)) == base
         assert len(enumerate_avoiders(n, RIGHTMOST)) == base
+
+
+@pytest.mark.parametrize(
+    "pclass", [*CLASSES_BY_NAME.values(), *EXTRA_CLASSES], ids=lambda c: c.name
+)
+def test_enumeration_matches_the_filter(pclass):
+    for n in range(0, 8):
+        assert enumerate_avoiders(n, pclass) == filter_avoiders(n, pclass.patterns), n
+
+
+def test_enumeration_keeps_3142_for_3_12():
+    # Inserting n into the size-(n-1) avoiders would miss it.
+    assert (3, 1, 4, 2) in enumerate_avoiders(4, EXTRA_CLASSES[0])
 
 
 def test_enumeration_is_lexicographic():
