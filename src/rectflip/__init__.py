@@ -33,7 +33,6 @@ from .flips import (
     flip,
     law_reading_edges,
     neighbors,
-    rotated_partition,
 )
 from .order import drec_covers, inversion_mask, is_drec_cover, weak_leq
 from .permutation import (

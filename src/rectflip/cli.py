@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,26 +44,17 @@ from .rectangulation import GridRectangulation, Matrix, bounding_boxes, rho
 MAX_GRAPH_N = 8
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    """Fixed drawing defaults; output is byte-deterministic under them."""
-
-    cell: int = 40
-    margin: int = 10
-    wall: str = "black"
-    simple: str = "green"
-    rotation_lr: str = "blue"
-    rotation_barcelona: str = "red"
-    unflippable: str = "black"
-    diagonal: str = "gray"
-    diagonal_dash: str = "6,4"
-
-    def color(self, kind: FlipKind) -> str:
-        return {
-            FlipKind.SIMPLE: self.simple,
-            FlipKind.ROTATION_LR: self.rotation_lr,
-            FlipKind.ROTATION_BARCELONA: self.rotation_barcelona,
-        }.get(kind, self.unflippable)
+# SVG cell size and margin in pixels, and the colour of each flip kind
+# in SVG and DOT output; both are byte-deterministic under these.
+CELL = 40
+MARGIN = 10
+KIND_COLOR = {
+    FlipKind.SIMPLE: "green",
+    FlipKind.ROTATION_LR: "blue",
+    FlipKind.ROTATION_BARCELONA: "red",
+    FlipKind.UNFLIPPABLE_ONE_MATCHED: "black",
+    FlipKind.UNFLIPPABLE_BOTH_MATCHED: "black",
+}
 
 
 class _Exit(Exception):
@@ -120,27 +110,27 @@ def _parse_perm(text: str):
         raise _Exit(2, str(exc)) from None
 
 
-def render_svg(grid: GridRectangulation, style: RenderStyle = RenderStyle()) -> str:
+def render_svg(grid: GridRectangulation) -> str:
     """The drawing with interior edges colored by flip class."""
     n = grid.n
-    side = n * style.cell
-    size = side + 2 * style.margin
+    side = n * CELL
+    size = side + 2 * MARGIN
 
     def x_at(c: int) -> int:
-        return style.margin + c * style.cell
+        return MARGIN + c * CELL
 
     def y_at(r: int) -> int:
-        return style.margin + r * style.cell
+        return MARGIN + r * CELL
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}">',
         f'  <rect x="{x_at(0)}" y="{y_at(0)}" width="{side}" height="{side}" '
-        f'fill="white" stroke="{style.wall}" stroke-width="2"/>',
+        'fill="white" stroke="black" stroke-width="2"/>',
     ]
     for edge in sorted_edges(grid):
-        color = style.color(classify_edge(grid, edge).kind)
+        color = KIND_COLOR[classify_edge(grid, edge).kind]
         if edge.orient == "h":
             x1, y1 = x_at(edge.start), y_at(edge.line)
             x2, y2 = x_at(edge.end), y_at(edge.line)
@@ -154,14 +144,13 @@ def render_svg(grid: GridRectangulation, style: RenderStyle = RenderStyle()) -> 
         )
     lines.append(
         f'  <line x1="{x_at(0)}" y1="{y_at(0)}" x2="{x_at(n)}" y2="{y_at(n)}" '
-        f'stroke="{style.diagonal}" stroke-width="1" '
-        f'stroke-dasharray="{style.diagonal_dash}"/>'
+        'stroke="gray" stroke-width="1" stroke-dasharray="6,4"/>'
     )
-    font = style.cell * 2 // 5
+    font = CELL * 2 // 5
     for lab in sorted(grid.rects):
         box = grid.rects[lab]
-        cx = x_at(box.left) + (box.right - box.left + 1) * style.cell // 2
-        cy = y_at(box.top) + (box.bottom - box.top + 1) * style.cell // 2
+        cx = x_at(box.left) + (box.right - box.left + 1) * CELL // 2
+        cy = y_at(box.top) + (box.bottom - box.top + 1) * CELL // 2
         lines.append(
             f'  <text x="{cx}" y="{cy}" font-size="{font}" text-anchor="middle" '
             f'dominant-baseline="central">{lab}</text>'
@@ -170,14 +159,14 @@ def render_svg(grid: GridRectangulation, style: RenderStyle = RenderStyle()) -> 
     return "\n".join(lines) + "\n"
 
 
-def graph_dot(fg: FlipGraph, style: RenderStyle = RenderStyle()) -> str:
+def graph_dot(fg: FlipGraph) -> str:
     """Graphviz export; node labels are the Baxter permutation strings."""
     lines = [f"graph flips_{fg.n} {{", "  node [shape=box];"]
     for w in fg.nodes:
         lines.append(f'  "{format_permutation(w)}";')
     for a, b in sorted(fg.edges):
         for kind in sorted(fg.edges[a, b], key=lambda k: k.value):
-            attrs = f"color={style.color(kind)}"
+            attrs = f"color={KIND_COLOR[kind]}"
             multiplicity = fg.edges[a, b][kind]
             if multiplicity > 1:
                 attrs += f', label="{multiplicity}"'

@@ -19,8 +19,8 @@ from .rectangulation import (
     Edge,
     GridRectangulation,
     Matrix,
+    Rect,
     _canonical_form,
-    canonicalize,
     diagonal_obstruction,
     freeze_matrix,
 )
@@ -82,79 +82,64 @@ class EdgeUnflippable(ValueError):
         self.flip_class = flip_class
 
 
-def _union_cells(grid: GridRectangulation, a: int, b: int) -> list[tuple[int, int]]:
-    cells = []
-    for lab in (a, b):
-        box = grid.rects[lab]
-        cells.extend(
-            (r, c)
-            for r in range(box.top, box.bottom + 1)
-            for c in range(box.left, box.right + 1)
-        )
-    return cells
+def _area(box: Rect) -> int:
+    return (box.bottom - box.top + 1) * (box.right - box.left + 1)
 
 
-def _is_box(cells: list[tuple[int, int]]) -> bool:
-    if not cells:
-        return False
-    rows = [r for r, _ in cells]
-    cols = [c for _, c in cells]
-    area = (max(rows) - min(rows) + 1) * (max(cols) - min(cols) + 1)
-    return area == len(cells)
-
-
-def rotated_partition(
-    grid: GridRectangulation, edge: Edge, pivot: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+def _recut(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix | None:
     """Recut the two rectangles at ``edge`` along the line through ``pivot``.
 
     ``pivot`` is a lattice coordinate along the edge: a column for a
-    horizontal edge (the replacement wall is vertical) and a row for a
-    vertical one.  Returns the two cell sets, or None when they are not
-    both rectangles; the None case at either endpoint of a both-ends-
-    matched edge is what makes such edges unflippable.
+    horizontal edge (the new wall is vertical) and a row for a vertical
+    one.  The parts of both boxes before the line take the edge's first
+    label and the parts after it its second.  Returns None when a side
+    is empty or its parts do not fill their bounding box; that happens
+    at both ends of a both-ends-matched edge, making it unflippable.
     """
     a, b = grid.edge_labels(edge)
-    cells = _union_cells(grid, a, b)
-    axis = 1 if edge.orient == "h" else 0
-    part1 = [cell for cell in cells if cell[axis] < pivot]
-    part2 = [cell for cell in cells if cell[axis] >= pivot]
-    if not (_is_box(part1) and _is_box(part2)):
-        return None
-    return part1, part2
-
-
-def _repartitioned(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix:
-    # Both callers recut where both parts are boxes: an L-shaped union at
-    # its own T-junction, or a simple edge's box through the diagonal.
-    parts = rotated_partition(grid, edge, pivot)
-    assert parts is not None
-    a, b = grid.edge_labels(edge)
+    sides = []
+    for lo, hi in ((0, pivot - 1), (pivot, grid.n - 1)):
+        parts = []
+        for top, left, bottom, right in (grid.rects[a], grid.rects[b]):
+            if edge.orient == "h":
+                left, right = max(left, lo), min(right, hi)
+            else:
+                top, bottom = max(top, lo), min(bottom, hi)
+            if top <= bottom and left <= right:
+                parts.append(Rect(top, left, bottom, right))
+        if not parts:
+            return None
+        tops, lefts, bottoms, rights = zip(*parts)
+        box = Rect(min(tops), min(lefts), max(bottoms), max(rights))
+        if sum(map(_area, parts)) != _area(box):
+            return None
+        sides.append(box)
     work = [list(row) for row in grid.matrix]
-    for r, c in parts[0]:
-        work[r][c] = a
-    for r, c in parts[1]:
-        work[r][c] = b
+    for lab, box in zip((a, b), sides):
+        for r in range(box.top, box.bottom + 1):
+            work[r][box.left : box.right + 1] = [lab] * (box.right - box.left + 1)
     return freeze_matrix(work)
 
 
 def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix | None]:
-    # The class of an interior edge and, for a rotation, the recut that
-    # classifying it scanned, so that flipping need not scan it again.
+    # The class of an interior edge and, if it is flippable, its recut.
+    # A simple edge's box holds the diagonal cells of a and a + 1, so
+    # the recut at coordinate a leaves each rectangle its own diagonal
+    # cell: a canonical drawing that no obstruction scan need check.
     if edge.matched_count == 0:
-        return FlipClass(FlipKind.SIMPLE), None
+        return FlipClass(FlipKind.SIMPLE), _recut(grid, edge, grid.edge_labels(edge)[0])
     if edge.matched_count == 2:
         return FlipClass(FlipKind.UNFLIPPABLE_BOTH_MATCHED), None
-    raw = _repartitioned(grid, edge, edge.start if edge.matched_start else edge.end)
-    if diagonal_obstruction(raw) is not None:
+    recut = _recut(grid, edge, edge.start if edge.matched_start else edge.end)
+    if diagonal_obstruction(recut) is not None:
         if edge.orient == "h":
             subtype = 1 if edge.matched_start else 2
         else:
             subtype = 3 if edge.matched_start else 4
         return FlipClass(FlipKind.UNFLIPPABLE_ONE_MATCHED, subtype), None
     if edge.crosses_diagonal:
-        return FlipClass(FlipKind.ROTATION_BARCELONA), raw
-    return FlipClass(FlipKind.ROTATION_LR), raw
+        return FlipClass(FlipKind.ROTATION_BARCELONA), recut
+    return FlipClass(FlipKind.ROTATION_LR), recut
 
 
 def _check_interior(grid: GridRectangulation, edge: Edge) -> None:
@@ -168,17 +153,11 @@ def classify_edge(grid: GridRectangulation, edge: Edge) -> FlipClass:
 
 
 def _flip(
-    grid: GridRectangulation, edge: Edge, rotated: Matrix | None
+    grid: GridRectangulation, edge: Edge, recut: Matrix
 ) -> tuple[GridRectangulation, Edge]:
-    # Flip a flippable edge, given its rotated recut if it has one.
+    # Flip a flippable edge, given the recut that classifying it returned.
+    flipped, ranks = _canonical_form(recut)
     a, b = grid.edge_labels(edge)
-    if rotated is None:
-        # the union box holds two consecutive diagonal cells, so the
-        # recut line through the diagonal sits at coordinate a
-        assert b == a + 1
-        flipped, ranks = canonicalize(_repartitioned(grid, edge, a))
-    else:
-        flipped, ranks = _canonical_form(rotated)
     new_edge = flipped.find_edge(ranks[a], ranks[b])
     assert new_edge.orient != edge.orient
     return flipped, new_edge
@@ -192,10 +171,10 @@ def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge
     back the input pair.
     """
     _check_interior(grid, edge)
-    flip_class, rotated = _classify(grid, edge)
+    flip_class, recut = _classify(grid, edge)
     if not flip_class.flippable:
         raise EdgeUnflippable(edge, flip_class)
-    return _flip(grid, edge, rotated)
+    return _flip(grid, edge, recut)
 
 
 def sorted_edges(grid: GridRectangulation) -> list[Edge]:
@@ -213,11 +192,11 @@ def edge_flips(
     """Every interior edge, its class and, if flippable, its flip.
 
     Edges come in :func:`sorted_edges` order.  Each edge is classified
-    once; a rotation flips the recut that its classification scanned.
+    once, and flips the recut that its classification returned.
     """
     for edge in sorted_edges(grid):
-        flip_class, rotated = _classify(grid, edge)
-        flipped = _flip(grid, edge, rotated) if flip_class.flippable else None
+        flip_class, recut = _classify(grid, edge)
+        flipped = _flip(grid, edge, recut) if flip_class.flippable else None
         yield edge, flip_class, flipped
 
 

@@ -260,7 +260,9 @@ class GridRectangulation:
     """Canonical drawing of a diagonal rectangulation.
 
     Rectangle i covers the diagonal cell (i-1, i-1); labels are exactly
-    1..n for an n-by-n matrix.
+    1..n for an n-by-n matrix.  No four rectangles can then meet at an
+    interior point (r, c): the north-east one would force c <= r - 1
+    through its diagonal cell and the south-west one r <= c - 1.
     """
 
     matrix: Matrix
@@ -278,16 +280,6 @@ class GridRectangulation:
                 raise ValueError(
                     f"diagonal cell ({i}, {i}) must hold label {i + 1}"
                 )
-        for r in range(1, n):
-            for c in range(1, n):
-                quad = {
-                    self.matrix[r - 1][c - 1],
-                    self.matrix[r - 1][c],
-                    self.matrix[r][c - 1],
-                    self.matrix[r][c],
-                }
-                if len(quad) == 4:
-                    raise ValueError(f"four rectangles meet at ({r}, {c})")
         object.__setattr__(self, "rects", boxes)
 
     @property
@@ -553,15 +545,15 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
 
 def _canonical_form(matrix: Matrix) -> tuple[GridRectangulation, dict[int, int]]:
     # The body of canonicalize, for a matrix that its caller has already
-    # found free of diagonal obstructions.
-    raw_word = extraction_word(matrix, "leftmost")
-    # Deleting top-left corners ranks the labels so that, on a canonical
-    # drawing, label i has rank i; that is bottom-left deletion of the
-    # row-reflected drawing.
+    # found free of diagonal obstructions.  Deleting top-left corners
+    # ranks the labels so that, on a canonical drawing, label i has rank
+    # i; that is bottom-left deletion of the row-reflected drawing.
+    # Bottom-left deletion of the drawing itself, ranked, is the Baxter
+    # word, whose insertion draws the canonical grid.
     rank = {
         lab: i for i, lab in enumerate(block_deletion_word(reflect_rows(matrix)), 1)
     }
-    sigma = tuple(rank[lab] for lab in raw_word)
+    sigma = tuple(rank[lab] for lab in block_deletion_word(matrix))
     check_word(sigma)
     return rho(sigma), rank
 

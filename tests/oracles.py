@@ -69,6 +69,73 @@ def find_edge_by_scan(grid, a: int, b: int):
     raise ValueError(f"rectangles {a} and {b} share no wall")
 
 
+def recut_cells(grid, edge, pivot):
+    """Recut the two rectangles at edge along the line through pivot, by
+    listing their cells: the matrix with the cells before the line given
+    the edge's first label and the rest its second, or None when either
+    part is empty or does not fill its bounding box."""
+    a, b = grid.edge_labels(edge)
+    cells = [
+        (r, c)
+        for r, row in enumerate(grid.matrix)
+        for c, lab in enumerate(row)
+        if lab in (a, b)
+    ]
+    axis = 1 if edge.orient == "h" else 0
+    parts = (
+        [cell for cell in cells if cell[axis] < pivot],
+        [cell for cell in cells if cell[axis] >= pivot],
+    )
+    work = [list(row) for row in grid.matrix]
+    for lab, part in zip((a, b), parts):
+        if not part:
+            return None
+        rows = [r for r, _ in part]
+        cols = [c for _, c in part]
+        if (max(rows) - min(rows) + 1) * (max(cols) - min(cols) + 1) != len(part):
+            return None
+        for r, c in part:
+            work[r][c] = lab
+    return tuple(map(tuple, work))
+
+
+def diagonal_tilings(n: int) -> set[tuple]:
+    """Every tiling of the n-by-n grid by rectangles in which label i's
+    rectangle holds the diagonal cell (i-1, i-1).
+
+    Cells are filled in reading order: the first empty cell is the
+    top-left corner of a new rectangle, which must hold exactly one
+    diagonal cell and take its label.  Nothing else is required; in
+    particular four rectangles may meet at a point if they can.
+    """
+    work = [[0] * n for _ in range(n)]
+    out = set()
+
+    def fill(k: int) -> None:
+        while k < n * n and work[k // n][k % n]:
+            k += 1
+        if k == n * n:
+            out.add(tuple(map(tuple, work)))
+            return
+        top, left = divmod(k, n)
+        for bottom in range(top, n):
+            for right in range(left, n):
+                cells = [
+                    (r, c) for r in range(top, bottom + 1) for c in range(left, right + 1)
+                ]
+                diagonal = [r for r, c in cells if r == c]
+                if len(diagonal) != 1 or any(work[r][c] for r, c in cells):
+                    continue
+                for r, c in cells:
+                    work[r][c] = diagonal[0] + 1
+                fill(k + 1)
+                for r, c in cells:
+                    work[r][c] = 0
+
+    fill(0)
+    return out
+
+
 def _top_left_deletion_ranks(matrix) -> dict[int, int]:
     """Labels ranked by repeatedly deleting the top-left rectangle.
 

@@ -7,14 +7,22 @@ from rectflip.flips import (
     EdgeUnflippable,
     FlipClass,
     FlipKind,
+    _classify,
+    _recut,
     classify_edge,
     flip,
     law_reading_edges,
     neighbors,
-    rotated_partition,
 )
 from rectflip.permutation import inverse
-from rectflip.rectangulation import rho
+from rectflip.rectangulation import (
+    GridRectangulation,
+    _canonical_form,
+    diagonal_obstruction,
+    rho,
+)
+
+from oracles import recut_cells
 
 
 def grids(n):
@@ -85,8 +93,8 @@ def test_unflippable_both_matched_example():
     e = g.find_edge(1, 3)
     assert classify_edge(g, e).kind is FlipKind.UNFLIPPABLE_BOTH_MATCHED
     # Recutting at either T-junction leaves a non-rectangular part.
-    assert rotated_partition(g, e, e.start) is None
-    assert rotated_partition(g, e, e.end) is None
+    assert _recut(g, e, e.start) is None
+    assert _recut(g, e, e.end) is None
     with pytest.raises(EdgeUnflippable):
         flip(g, e)
 
@@ -225,9 +233,9 @@ def test_one_matched_subtypes_encode_geometry():
 
 
 def test_neighbors_scans_each_recut_once(monkeypatch):
-    # A one-end-matched edge is scanned while it is classified, and a
-    # rotation flip reuses that scan; a simple flip's recut is scanned
-    # once, by canonicalize.  Nothing is scanned twice.
+    # A one-end-matched edge's recut is scanned while it is classified,
+    # and a rotation flip reuses that scan; a simple edge's recut keeps
+    # every rectangle on its diagonal cell and is not scanned at all.
     grids_5 = list(build(5).grids.values())
     scanned = []
 
@@ -241,7 +249,35 @@ def test_neighbors_scans_each_recut_once(monkeypatch):
     for g in grids_5:
         scanned.clear()
         neighbors(g)
-        assert len(scanned) == sum(e.matched_count < 2 for e in g.interior_edges())
+        assert len(scanned) == sum(e.matched_count == 1 for e in g.interior_edges())
+
+
+def test_recut_matches_cell_oracle():
+    # Every interior edge, cut at both of its endpoints and at the
+    # diagonal coordinate of its first label.
+    recuts = 0
+    for n in range(1, 7):
+        for g in grids(n):
+            for e in g.interior_edges():
+                for pivot in {e.start, e.end, g.edge_labels(e)[0]}:
+                    expected = recut_cells(g, e, pivot)
+                    assert _recut(g, e, pivot) == expected
+                    recuts += expected is not None
+    assert recuts == 3974
+
+
+def test_simple_recuts_are_canonical():
+    for n in range(2, 7):
+        for g in grids(n):
+            for e in g.interior_edges():
+                if e.matched_count:
+                    continue
+                flip_class, recut = _classify(g, e)
+                assert flip_class.kind is FlipKind.SIMPLE
+                assert diagonal_obstruction(recut) is None
+                flipped, ranks = _canonical_form(recut)
+                assert flipped == GridRectangulation(recut)
+                assert ranks == {i: i for i in range(1, n + 1)}
 
 
 def test_neighbors_listing():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rectflip as rf
-from rectflip.flips import FlipKind, _classify, _repartitioned
+from rectflip.flips import _classify
 from rectflip.permutation import avoids_class
 from rectflip.rectangulation import (
     GridRectangulation,
@@ -24,7 +24,12 @@ from rectflip.rectangulation import (
     twin_trees,
 )
 
-from oracles import _top_left_deletion_ranks, brute_fibers, find_edge_by_scan
+from oracles import (
+    _top_left_deletion_ranks,
+    brute_fibers,
+    diagonal_tilings,
+    find_edge_by_scan,
+)
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -82,6 +87,19 @@ def test_rho_windows_never_meet_four_rectangles(word):
 def test_grid_constructor_rejects_bad_anchor():
     with pytest.raises(ValueError):
         GridRectangulation(((1, 1), (2, 1)))
+
+
+def test_diagonal_tilings_are_the_baxter_drawings():
+    # Every tiling that puts label i on cell (i-1, i-1) is a canonical
+    # drawing, so GridRectangulation needs no four-way junction check.
+    sizes = []
+    for n in range(1, 7):
+        tilings = diagonal_tilings(n)
+        assert tilings == {rho(w).matrix for w in rf.enumerate_avoiders(n, rf.BAXTER)}
+        for matrix in tilings:
+            GridRectangulation(matrix)
+        sizes.append(len(tilings))
+    assert sizes == [1, 2, 6, 22, 92, 422]
 
 
 def test_bounding_boxes_requires_solid_blocks():
@@ -217,15 +235,12 @@ def test_canonicalize_fixes_canonical_grids():
 
 
 def _recuts(grid):
-    # What a flip hands to canonicalization: each rotation recut that
-    # classifying an edge scans, and each simple edge's box recut
-    # through the diagonal.
+    # What a flip hands to canonicalization: the recut that classifying
+    # each flippable edge returns.
     for edge in grid.interior_edges():
-        flip_class, rotated = _classify(grid, edge)
-        if rotated is not None:
-            yield rotated
-        elif flip_class.kind is FlipKind.SIMPLE:
-            yield _repartitioned(grid, edge, grid.edge_labels(edge)[0])
+        recut = _classify(grid, edge)[1]
+        if recut is not None:
+            yield recut
 
 
 def test_canonical_ranks_match_top_left_deletion_oracle():
