@@ -4,12 +4,14 @@ Grids travel as whitespace-separated label matrices, one row per line;
 permutations as digit strings (comma-separated beyond 9).  Exit codes:
 0 success, 1 verification counterexample, 2 unreadable input or bad
 arguments, 3 readable drawing that is not canonical diagonal, 4 flip
-requested on an unflippable edge.
+requested on an unflippable edge, 141 stdout closed early by its reader
+(128 + SIGPIPE, as for `rectflip enumerate 8 | head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -319,10 +321,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except _Exit as stop:
         print(stop.message, file=sys.stderr)
         return stop.code
+    except BrokenPipeError:
+        # the reader left; /dev/null keeps the flush at exit from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

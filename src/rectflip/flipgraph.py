@@ -12,24 +12,23 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
 from .bijection import baxter_of
 from .flips import FlipKind, neighbors
-from .order import drec_covers, inversion_mask
+from .order import between, drec_covers, inversion_mask, pair_bitsets
 from .permutation import (
     BAXTER,
     RIGHTMOST,
     TWISTED_BAXTER,
     Word,
-    avoids_class,
     consecutive_value_swap,
     enumerate_avoiders,
     format_permutation,
 )
-from .rectangulation import GridRectangulation, Matrix, rho, staircase_extraction
+from .rectangulation import GridRectangulation, Matrix, extraction_word, rho
 
 Pair = tuple[Word, Word]
 
@@ -88,55 +87,50 @@ def _adjacency(
     return adj
 
 
-def _bfs(adj: dict[Word, set[Word]], source: Word) -> dict[Word, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        w = queue.popleft()
-        for v in adj[w]:
-            if v not in dist:
-                dist[v] = dist[w] + 1
-                queue.append(v)
-    return dist
-
-
-def _component_count(adj: dict[Word, set[Word]]) -> int:
-    seen: set[Word] = set()
-    count = 0
-    for w in adj:
-        if w not in seen:
-            count += 1
-            seen.update(_bfs(adj, w))
-    return count
+def _reach(adj: dict[Word, set[Word]]) -> tuple[int, list[int]]:
+    # After k rounds of reach[v] |= reach[u] over neighbours u, reach[v]
+    # is the bitset of nodes within k flips of v.  Rounds stop when every
+    # set is full or none grows; each set is then its node's component.
+    index = {w: i for i, w in enumerate(adj)}
+    nbrs = [[index[u] for u in adj[w]] for w in adj]
+    full = (1 << len(nbrs)) - 1
+    reach = [1 << i for i in range(len(nbrs))]
+    rounds = 0
+    while any(r != full for r in reach):
+        grown = []
+        for r, around in zip(reach, nbrs):
+            for u in around:
+                r |= reach[u]
+            grown.append(r)
+        if grown == reach:
+            break
+        reach, rounds = grown, rounds + 1
+    return rounds, reach
 
 
 def simple_flip_components(n: int) -> int:
     """Connected components of the simple-flips-only subgraph."""
-    return _component_count(_adjacency(build(n), {FlipKind.SIMPLE}))
+    return len(set(_reach(_adjacency(build(n), {FlipKind.SIMPLE}))[1]))
 
 
 def metrics(fg: FlipGraph) -> dict:
-    """Exact BFS metrics.
+    """Exact degree statistics, connectivity and diameter.
 
     Degrees count flip multiplicities, so a node's degree is the number
-    of flippable edges of its drawing.  diameter is None when the graph
+    of flippable edges of its drawing.  The diameter comes from rounds
+    of bitset reachability (one bit per node) and is None when the graph
     is disconnected.
     """
-    adj = _adjacency(fg)
     degrees = dict.fromkeys(fg.nodes, 0)
     for (a, b), tags in fg.edges.items():
         m = sum(tags.values())
         degrees[a] += m
         degrees[b] += m
-    connected = _component_count(adj) == 1
-    diameter = None
-    if connected:
-        diameter = max(
-            max(_bfs(adj, w).values(), default=0) for w in fg.nodes
-        )
+    rounds, reach = _reach(_adjacency(fg))
+    connected = len(set(reach)) == 1
     values = list(degrees.values())
     return {
-        "diameter": diameter,
+        "diameter": rounds if connected else None,
         "degree_min": min(values),
         "degree_max": max(values),
         "degree_mean": sum(values) / len(values),
@@ -297,15 +291,20 @@ def verify_inversion(n: int) -> VerificationReport:
     For every drawing: the leftmost extraction word is the weak-order
     minimum of its fiber, the rightmost the maximum, the fiber is the
     full interval between them, and each of the three pattern classes
-    contributes exactly one member.
+    contributes exactly one member.  Interval sizes are popcounts of
+    bitset intervals over all of S_n.
     """
     groups = _fibers(n)
     masks = {w: inversion_mask(w) for members in groups.values() for w in members}
+    bitsets = pair_bitsets(list(masks.values()))
+    classes = {
+        pclass: set(enumerate_avoiders(n, pclass))
+        for pclass in (BAXTER, TWISTED_BAXTER, RIGHTMOST)
+    }
     failures = []
     for matrix, members in groups.items():
-        grid = GridRectangulation(matrix)
-        lo = staircase_extraction(grid, "leftmost")
-        hi = staircase_extraction(grid, "rightmost")
+        lo = extraction_word(matrix, "leftmost")
+        hi = extraction_word(matrix, "rightmost")
         tag = f"fiber of {format_permutation(lo)}"
         if lo not in members or hi not in members:
             failures.append(f"{tag}: extraction words are not members")
@@ -316,17 +315,13 @@ def verify_inversion(n: int) -> VerificationReport:
                 failures.append(
                     f"{tag}: {format_permutation(m)} is not between the extremes"
                 )
-        interval = sum(
-            1
-            for mask in masks.values()
-            if not (lo_mask & ~mask or mask & ~hi_mask)
-        )
+        interval = between(bitsets, len(masks), lo_mask, hi_mask).bit_count()
         if interval != len(members):
             failures.append(
                 f"{tag}: {len(members)} members but interval size {interval}"
             )
-        for pclass in (BAXTER, TWISTED_BAXTER, RIGHTMOST):
-            hits = [m for m in members if avoids_class(m, pclass)]
+        for pclass, avoiders in classes.items():
+            hits = [m for m in members if m in avoiders]
             if len(hits) != 1:
                 failures.append(
                     f"{tag}: {len(hits)} members avoid {pclass.name}"

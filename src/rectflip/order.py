@@ -1,16 +1,17 @@
 """Weak order on permutations and its restriction to Baxter permutations.
 
-Inversion sets are packed into integer bitmasks so that order
-comparison is one mask test and cover computation stays cheap at desk
-scale.  The restriction of the weak order to Baxter permutations is the
-lattice whose cover pairs drive the Law-Reading side of the flip
-taxonomy.
+Inversion sets are integer bitmasks, so one comparison is one mask
+test; a set of words is an integer bitset, and ANDs of one bitset per
+value pair give down-sets and intervals without a pairwise scan.  The
+restriction of the weak order to Baxter permutations is the lattice
+whose cover pairs drive the Law-Reading side of the flip taxonomy.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable
+from functools import cache, reduce
+from operator import or_
+from typing import Iterable, Sequence
 
 from .permutation import BAXTER, Word, avoids_class, check_word, enumerate_avoiders
 
@@ -37,25 +38,58 @@ def weak_leq(lo: Word, hi: Word) -> bool:
     return inversion_mask(lo) & ~inversion_mask(hi) == 0
 
 
+def pair_bitsets(masks: Sequence[int]) -> list[int]:
+    """Entry p is the bitset of the positions k at which masks[k] has bit p."""
+    width = reduce(or_, masks, 0).bit_length()
+    return [
+        int("".join("1" if m >> p & 1 else "0" for m in reversed(masks)), 2)
+        for p in range(width)
+    ]
+
+
+def between(bitsets: Sequence[int], size: int, lo_mask: int, hi_mask: int) -> int:
+    """The weak-order interval [lo, hi] among ``size`` masks, as a bitset.
+
+    ``bitsets`` is :func:`pair_bitsets` of the masks; the result is 0
+    when lo is not below hi.
+    """
+    if lo_mask >> len(bitsets):
+        return 0
+    found = (1 << size) - 1
+    for p, bits in enumerate(bitsets):
+        if lo_mask >> p & 1:
+            found &= bits
+        if not hi_mask >> p & 1:
+            found &= ~bits
+    return found
+
+
 def covers_within(words: Iterable[Word]) -> set[tuple[Word, Word]]:
     """Cover pairs of the order the weak order induces on ``words``.
 
     A pair (lo, hi) is a cover when lo < hi and no third listed word
-    lies strictly between.  Candidates below each element are scanned in
-    decreasing inversion count, keeping only those not dominated by an
-    already-kept candidate; the kept ones are the covers.
+    lies strictly between.  With the distinct words indexed by
+    inversion count, a word's lower covers come from its down-set bitset
+    (:func:`between`): take the top bit of the part below its count, a
+    maximal word, and clear that word's down-set, until nothing is left.
+    Of several words with one inversion set, only the first listed
+    enters a cover, and none covers another.
     """
-    items = [(inversion_mask(w), w) for w in words]
+    masks = {w: inversion_mask(w) for w in words}
+    # reversed, so that of equal counts the first listed is on top
+    items = sorted(reversed(masks.items()), key=lambda wm: wm[1].bit_count())
+    bitsets = pair_bitsets([m for _, m in items])
+    down = [between(bitsets, len(items), 0, m) for _, m in items]
     covers: set[tuple[Word, Word]] = set()
-    for hi_mask, hi in items:
-        below = [(m, w) for m, w in items if m != hi_mask and m & ~hi_mask == 0]
-        below.sort(key=lambda mw: mw[0].bit_count(), reverse=True)
-        kept: list[int] = []
-        for m, w in below:
-            if any(m & ~km == 0 for km in kept):
-                continue
-            kept.append(m)
-            covers.add((w, hi))
+    start = 0
+    for i, (hi, m) in enumerate(items):
+        if m.bit_count() != items[start][1].bit_count():
+            start = i
+        rest = down[i] & ((1 << start) - 1)
+        while rest:
+            j = rest.bit_length() - 1
+            covers.add((items[j][0], hi))
+            rest &= ~down[j]
     return covers
 
 

@@ -8,7 +8,7 @@ types themselves.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 
 import rectflip as rf
 
@@ -200,6 +200,52 @@ def brute_covers(words: list[Word]) -> set[tuple[Word, Word]]:
                 continue
             out.add((lo, hi))
     return out
+
+
+def pairwise_covers(words) -> set[tuple[Word, Word]]:
+    """Cover pairs of the weak order induced on words, by comparing masks.
+
+    Candidates below each word are scanned in decreasing inversion
+    count, keeping only those not dominated by an already-kept
+    candidate; the kept ones are the covers.
+    """
+    items = [(rf.inversion_mask(w), w) for w in words]
+    covers: set[tuple[Word, Word]] = set()
+    for hi_mask, hi in items:
+        below = [(m, w) for m, w in items if m != hi_mask and m & ~hi_mask == 0]
+        below.sort(key=lambda mw: mw[0].bit_count(), reverse=True)
+        kept: list[int] = []
+        for m, w in below:
+            if any(m & ~km == 0 for km in kept):
+                continue
+            kept.append(m)
+            covers.add((w, hi))
+    return covers
+
+
+def bfs_diameter(fg):
+    """Largest BFS eccentricity over the nodes of a flip graph, or None
+    when some node does not reach every other."""
+    index = {w: i for i, w in enumerate(fg.nodes)}
+    adj = [[] for _ in fg.nodes]
+    for a, b in fg.edges:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    diameter = 0
+    for source in range(len(adj)):
+        dist = [-1] * len(adj)
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            w = queue.popleft()
+            for v in adj[w]:
+                if dist[v] < 0:
+                    dist[v] = dist[w] + 1
+                    queue.append(v)
+        if -1 in dist:
+            return None
+        diameter = max(diameter, max(dist))
+    return diameter
 
 
 def slash_consistency_problems(grid) -> list[str]:

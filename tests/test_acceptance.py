@@ -66,8 +66,8 @@ def test_criterion_03_node_inventory_matches_enumeration():
 
 
 def test_criterion_04_fibers_are_weak_order_intervals():
-    """Each fiber is an interval with the extraction words as extremes, n up to 6."""
-    for n in range(1, 7):
+    """Each fiber is an interval with the extraction words as extremes, n up to 7."""
+    for n in range(1, 8):
         report = verify_inversion(n)
         assert report.ok, report.summary()
 
@@ -87,15 +87,15 @@ def test_criterion_06_crossing_flips_are_value_swaps():
 
 
 def test_criterion_07_noncrossing_flips_are_weak_order_covers():
-    """Simple and LR adjacency equals restricted weak-order covers, n up to 6."""
-    for n in range(1, 7):
+    """Simple and LR adjacency equals restricted weak-order covers, n up to 7."""
+    for n in range(1, 8):
         report = verify_theorem_lr(n)
         assert report.ok, report.summary()
 
 
 def test_criterion_08_simple_is_intersection_all_is_union():
-    """Simple edges are the overlap and all edges the union of the two relations, n up to 6."""
-    for n in range(1, 7):
+    """Simple edges are the overlap and all edges the union of the two relations, n up to 7."""
+    for n in range(1, 8):
         report = verify_characterization(n)
         assert report.ok, report.summary()
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +254,24 @@ def test_bad_arguments_exit_via_argparse():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         run([])
+
+
+def test_closed_stdout_exits_141_quietly():
+    # Like `rectflip enumerate 8 | head -1`: the 10,754 lines overflow the
+    # pipe, so the CLI is still writing when the reader goes away.
+    env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rectflip.cli", "enumerate", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"12345678\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_parse_grid_roundtrip():

@@ -21,6 +21,8 @@ from rectflip.flips import FlipKind, neighbors
 from rectflip.permutation import consecutive_value_swap
 from rectflip.rectangulation import rho
 
+from oracles import bfs_diameter
+
 
 def test_build_3_is_the_known_graph():
     fg = build(3)
@@ -91,10 +93,50 @@ def test_metrics_trivial_sizes():
 def test_diameter_growth():
     # 2n - 3 for n = 2..7 (11 at n = 7), but not beyond: the diameter at
     # n = 8 is 14 (notes/decisions.md).  All inside the coarse 8n bound.
-    diameters = [metrics(build(n))["diameter"] for n in range(1, 7)]
-    assert diameters == [0, 1, 3, 5, 7, 9]
+    diameters = [metrics(build(n))["diameter"] for n in range(1, 8)]
+    assert diameters == [0, 1, 3, 5, 7, 9, 11]
     for n, d in enumerate(diameters, start=1):
         assert d <= 8 * n
+
+
+def test_bitset_diameter_matches_per_node_bfs():
+    for n in range(1, 8):
+        fg = build(n)
+        assert metrics(fg)["diameter"] == bfs_diameter(fg)
+    for n in range(3, 6):
+        fg = build(n)
+        simple = {p: t for p, t in fg.edges.items() if FlipKind.SIMPLE in t}
+        sub = FlipGraph(n, fg.nodes, fg.grids, simple)
+        assert bfs_diameter(sub) is None
+        assert metrics(sub)["diameter"] is None
+        assert not metrics(sub)["connected"]
+
+
+def _transpose(matrix):
+    return tuple(zip(*matrix))
+
+
+def _rotate_half_turn(matrix):
+    # 180 degrees, with label i renamed n + 1 - i so that label i again
+    # holds the i-th diagonal cell
+    n = len(matrix)
+    return tuple(
+        tuple(n + 1 - matrix[n - 1 - r][n - 1 - c] for c in range(n)) for r in range(n)
+    )
+
+
+def test_symmetries_are_flip_graph_automorphisms():
+    for n in range(1, 7):
+        fg = build(n)
+        key_of = {grid.matrix: w for w, grid in fg.grids.items()}
+        for symmetry in (_transpose, _rotate_half_turn):
+            image = {w: key_of[symmetry(fg.grids[w].matrix)] for w in fg.nodes}
+            assert sorted(image.values()) == sorted(fg.nodes)
+            mapped = {
+                tuple(sorted((image[a], image[b]))): tags
+                for (a, b), tags in fg.edges.items()
+            }
+            assert mapped == fg.edges
 
 
 def test_simple_flip_component_counts():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -9,16 +10,18 @@ from rectflip.bijection import twisted_baxter_of
 from rectflip.flipgraph import build
 from rectflip.flips import FlipKind
 from rectflip.order import (
+    between,
     covers_within,
     drec_covers,
     inversion_mask,
     is_drec_cover,
+    pair_bitsets,
     weak_leq,
 )
 from rectflip.permutation import adjacent_position_swap, inversion_set
 from rectflip.rectangulation import rho
 
-from oracles import brute_covers, brute_weak_leq, inversion_pairs
+from oracles import brute_covers, brute_weak_leq, inversion_pairs, pairwise_covers
 
 
 def all_words(n):
@@ -78,6 +81,67 @@ def test_restricted_covers_match_brute_reduction():
     for n in range(1, 6):
         words = rf.enumerate_avoiders(n, rf.BAXTER)
         assert drec_covers(n) == brute_covers(words)
+
+
+def test_bitset_covers_match_pairwise_scan():
+    for n in range(1, 8):
+        words = rf.enumerate_avoiders(n, rf.BAXTER)
+        assert covers_within(words) == pairwise_covers(words)
+    for n in range(1, 7):
+        words = rf.enumerate_avoiders(n, rf.TWISTED_BAXTER)
+        assert covers_within(words) == pairwise_covers(words)
+    for n in range(1, 6):
+        assert covers_within(all_words(n)) == pairwise_covers(all_words(n))
+    assert covers_within([]) == set()
+
+
+same_length = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.permutations(range(1, n + 1)).map(tuple), max_size=30)
+)
+mixed_lengths = st.lists(
+    st.integers(0, 4).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple)),
+    max_size=20,
+)
+
+
+@given(st.one_of(same_length, mixed_lengths), st.data())
+def test_bitset_covers_match_pairwise_scan_on_subsets(words, data):
+    # Repeated words are never a cover of each other.  Words of different
+    # lengths compare by inversion set alone, and of several with one set
+    # only the first listed enters a cover.
+    if words:
+        words = words + data.draw(st.lists(st.sampled_from(words), max_size=5))
+    words = data.draw(st.permutations(words))
+    covers = covers_within(words)
+    assert covers == pairwise_covers(words)
+    assert all(lo != hi for lo, hi in covers)
+
+
+@given(st.integers(5, 6).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(1, n + 1)).map(tuple),
+        st.permutations(range(1, n + 1)).map(tuple),
+    )
+))
+def test_interval_bitset_matches_a_scan(pair):
+    # Random pairs both ways round, most with lo not below hi, which must
+    # give 0; and intervals from the bottom and to the top, never empty.
+    lo, hi = pair
+    n = len(lo)
+    masks, bitsets = _indexed(n)
+    bottom, top = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    for a, b in ((lo, hi), (hi, lo), (bottom, hi), (lo, top)):
+        a_mask, b_mask = inversion_mask(a), inversion_mask(b)
+        found = between(bitsets, len(masks), a_mask, b_mask)
+        scan = [k for k, m in enumerate(masks) if not (a_mask & ~m or m & ~b_mask)]
+        assert found == sum(1 << k for k in scan)
+        assert (found == 0) == (not weak_leq(a, b))
+
+
+@functools.cache
+def _indexed(n):
+    masks = [inversion_mask(w) for w in all_words(n)]
+    return masks, pair_bitsets(masks)
 
 
 def test_drec_covers_frozen_small():
