@@ -203,22 +203,23 @@ def brute_covers(words: list[Word]) -> set[tuple[Word, Word]]:
 
 
 def pairwise_covers(words) -> set[tuple[Word, Word]]:
-    """Cover pairs of the weak order induced on words, by comparing masks.
+    """Cover pairs of the weak order induced on words, by comparing every
+    pair of inversion sets.
 
     Candidates below each word are scanned in decreasing inversion
-    count, keeping only those not dominated by an already-kept
-    candidate; the kept ones are the covers.
+    count, keeping only those not below an already-kept candidate; the
+    kept ones are the covers.
     """
-    items = [(rf.inversion_mask(w), w) for w in words]
+    items = [(inversion_pairs(w), w) for w in words]
     covers: set[tuple[Word, Word]] = set()
-    for hi_mask, hi in items:
-        below = [(m, w) for m, w in items if m != hi_mask and m & ~hi_mask == 0]
-        below.sort(key=lambda mw: mw[0].bit_count(), reverse=True)
-        kept: list[int] = []
-        for m, w in below:
-            if any(m & ~km == 0 for km in kept):
+    for hi_set, hi in items:
+        below = [(s, w) for s, w in items if s < hi_set]
+        below.sort(key=lambda sw: len(sw[0]), reverse=True)
+        kept: list[frozenset] = []
+        for s, w in below:
+            if any(s <= k for k in kept):
                 continue
-            kept.append(m)
+            kept.append(s)
             covers.add((w, hi))
     return covers
 
