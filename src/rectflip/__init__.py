@@ -66,7 +66,6 @@ from .rectangulation import (
     reflect_rows,
     rho,
     rho_prime,
-    staircase_extraction,
     twin_trees,
 )
 

@@ -1,14 +1,16 @@
-"""Fibers of the insertion map and their distinguished representatives.
+"""Fibers of :func:`rectflip.rectangulation.rho` and their distinguished representatives.
 
-Many insertion orders draw the same grid.  The fiber of a drawing is
-the set of all of them, computed by undoing insertions in every
-possible order.  Each fiber holds exactly one permutation from each of
-the named pattern classes, and ``unique_class_member`` finds it by
-filtering the fiber.  The three distinguished members are also read
+Many permutations draw the same grid.  The fiber of a drawing is the
+set of all of them: the orders in which its rectangles can be laid
+down one by one against a rising staircase, computed by undoing those
+insertions in every possible order.  Each fiber holds exactly one
+permutation from each of the named pattern classes, and
+``unique_class_member`` finds it by filtering the fiber.  The three distinguished members are also read
 off the drawing directly, without the fiber: ``baxter_of`` by
 bottom-left block deletion, which keys everything downstream (flip
 graphs, the lattice, exports), and the twisted-Baxter and rightmost
-members by staircase extraction.
+members by peeling the grid's rectangles off from the top
+(:func:`rectflip.rectangulation.extraction_word`).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .rectangulation import (
     _removable,
     block_delete_bottom_left,  # re-exported
     block_deletion_word,
+    extraction_word,
     rho_prime,
-    staircase_extraction,
 )
 
 FIBER_CAP = 10
@@ -103,12 +105,12 @@ def twisted_baxter_of(grid: GridRectangulation) -> Word:
 
     Bottom of the fiber's weak-order interval.
     """
-    return staircase_extraction(grid, "leftmost")
+    return extraction_word(grid, "leftmost")
 
 
 def rightmost_of(grid: GridRectangulation) -> Word:
     """The rightmost drawing order, top of the fiber's weak-order interval."""
-    return staircase_extraction(grid, "rightmost")
+    return extraction_word(grid, "rightmost")
 
 
 def slash_representative(grid: GridRectangulation) -> Matrix:

@@ -303,8 +303,9 @@ def verify_inversion(n: int) -> VerificationReport:
     }
     failures = []
     for matrix, members in groups.items():
-        lo = extraction_word(matrix, "leftmost")
-        hi = extraction_word(matrix, "rightmost")
+        grid = GridRectangulation(matrix)
+        lo = extraction_word(grid, "leftmost")
+        hi = extraction_word(grid, "rightmost")
         tag = f"fiber of {format_permutation(lo)}"
         if lo not in members or hi not in members:
             failures.append(f"{tag}: extraction words are not members")

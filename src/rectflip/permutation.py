@@ -93,7 +93,7 @@ def parse_permutation(text: str) -> Word:
         except ValueError:
             raise ValueError(f"bad permutation text: {text!r}") from None
     else:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise ValueError(f"bad permutation text: {text!r}")
         word = tuple(int(ch) for ch in text)
     check_word(word)
@@ -129,7 +129,7 @@ class VincularPattern:
         word: list[int] = []
         glued: set[int] = set()
         for group in groups:
-            if not group.isdigit():
+            if not group.isdecimal():
                 raise ValueError(f"bad pattern text: {text!r}")
             for offset, ch in enumerate(group):
                 if offset > 0:

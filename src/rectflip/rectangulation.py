@@ -4,10 +4,11 @@ A rectangulation of the square is stored as a label matrix: cell (r, c)
 holds the label of the rectangle covering it, row 0 at the top.  The
 canonical drawing used throughout places rectangle i on the main
 diagonal cell (i-1, i-1), so ``matrix[i][i] == i + 1`` with 0-based
-indices.  Every permutation of 1..n maps to such a drawing by the
-staircase insertion of :func:`from_permutation`, and every drawing of a
-rectangulation whose walls do not obstruct the diagonal maps back by
-:func:`canonicalize`.
+indices.  Every permutation of 1..n maps to such a drawing by
+:func:`rho`, which stretches rectangle j from its diagonal cell over the
+runs of neighbouring values placed before and after j, and every drawing
+of a rectangulation whose walls do not obstruct the diagonal maps back
+by :func:`canonicalize`.
 
 Lattice points are (row, col) corners of cells, so both coordinates run
 from 0 to n inclusive.  The main diagonal runs from lattice point (0, 0)
@@ -349,13 +350,17 @@ class GridRectangulation:
 
 
 def rho(word: Word) -> GridRectangulation:
-    """Staircase insertion of the values of word, in word order.
+    """The diagonal rectangulation of word, drawn rectangle by rectangle.
 
-    Rectangles are laid down against a non-increasing staircase that
-    starts as the full square.  Value j lands with its upper-left corner
-    on the staircase at the diagonal cell (j-1, j-1) when the staircase
-    passes through it, pushing the boundary upward.  Distinct words can
-    draw the same grid; see :mod:`rectflip.bijection` for the fibers.
+    Rectangle j covers the diagonal cell (j-1, j-1) and stretches over
+    runs of neighbouring values: left over the run j-1, j-2, ... placed
+    after j in word, down over the run j+1, j+2, ... placed after j, up
+    over the run j-1, j-2, ... placed before j and right over the run
+    j+1, j+2, ... placed before j.  The runs placed after j are the two
+    subtrees of j when word is inserted into a binary search tree, the
+    lower of the twin trees; the runs placed before j are its subtrees
+    for the reversed word, the upper tree.  Distinct words can draw the
+    same grid; see :mod:`rectflip.bijection` for the fibers.
 
     >>> print(rho((3, 1, 2)))
     1 2 2
@@ -364,44 +369,21 @@ def rho(word: Word) -> GridRectangulation:
     """
     check_word(word)
     n = len(word)
-    # heights[c] = current staircase height over column c, measured as a
-    # lattice row; the region still to fill is {(r, c) : r >= heights[c]}
-    # read per column.  Non-increasing insertion keeps it sorted.
-    heights = [n] * n
+    pos = {v: i for i, v in enumerate(word)}
+
+    def run_end(j: int, step: int, after: bool) -> int:
+        # diagonal index of the last value of the run from j by step
+        k = j
+        while 0 < k + step <= n and (pos[k + step] > pos[j]) == after:
+            k += step
+        return k - 1
+
     grid = [[0] * n for _ in range(n)]
     for j in word:
-        d = j - 1
-        lo = heights[d - 1] if d >= 1 else 0
-        hi = heights[d] if d <= n - 1 else n
-        if lo <= d <= hi:
-            ulx, uly = d, lo
-        else:
-            # staircase already passed above the diagonal cell; slide
-            # right along the run at height d, or to the first taller
-            # column when no column sits at height d
-            assert d < lo
-            at_level = [c for c in range(n) if heights[c] == d]
-            if at_level:
-                ulx = at_level[-1] + 1
-            else:
-                ulx = min(c for c in range(n) if heights[c] > d)
-            uly = d
-        hi_right = heights[j] if j <= n - 1 else n
-        if heights[j - 1] <= j <= hi_right:
-            lrx = next((c for c in range(n) if heights[c] > j), n)
-            lry = j
-        else:
-            assert heights[j - 1] > j
-            lrx, lry = j, heights[j - 1]
-        assert ulx < lrx and uly < lry
-        for c in range(ulx, lrx):
-            assert heights[c] == lry
-            heights[c] = uly
-        for r in range(uly, lry):
-            for c in range(ulx, lrx):
-                assert grid[r][c] == 0
-                grid[r][c] = j
-    assert heights == [0] * n
+        left, bottom = run_end(j, -1, True), run_end(j, 1, True)
+        top, right = run_end(j, -1, False), run_end(j, 1, False)
+        for r in range(top, bottom + 1):
+            grid[r][left : right + 1] = [j] * (right - left + 1)
     return GridRectangulation(freeze_matrix(grid))
 
 
@@ -428,30 +410,31 @@ def _removable(box: Rect, heights: Sequence[int], ncols: int) -> bool:
     return box.right == ncols - 1 or heights[box.right + 1] >= box.bottom + 1
 
 
-def extraction_word(matrix: Matrix, rule: str = "leftmost"):
+def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
     """Undraw rectangles from the top staircase; return them in drawing order.
 
-    ``rule`` names the forward drawing order it realizes: "leftmost"
-    draws the rectangle nearest the start of the diagonal first whenever
-    there is a choice, "rightmost" the furthest.  Undrawing runs
-    backwards, so the preference flips: the leftmost drawing order is
-    produced by always undrawing the rightmost removable rectangle, and
-    vice versa.  At each step the removable rectangles occupy pairwise
-    disjoint column ranges, so positional and label order agree.
+    Rectangles are peeled off ``grid.rects`` from the top down, as the
+    reverse of drawing them one by one against a rising staircase, so
+    the result is a member of the fiber of the grid.  ``rule`` names the
+    forward drawing order it realizes: "leftmost" draws the rectangle
+    nearest the start of the diagonal first whenever there is a choice,
+    "rightmost" the furthest.  Undrawing runs backwards, so the
+    preference flips: the leftmost drawing order is produced by always
+    undrawing the rightmost removable rectangle, and vice versa.  At
+    each step the removable rectangles occupy pairwise disjoint column
+    ranges, so positional and label order agree.
     """
     if rule not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown extraction rule: {rule}")
-    boxes = bounding_boxes(matrix)
-    nrows = len(matrix)
-    ncols = len(matrix[0])
-    heights = [0] * ncols
+    n = grid.n
+    heights = [0] * n
     removed = []
-    remaining = dict(boxes)
+    remaining = dict(grid.rects)
     while remaining:
         candidates = [
             (box.left, lab)
             for lab, box in remaining.items()
-            if _removable(box, heights, ncols)
+            if _removable(box, heights, n)
         ]
         assert candidates
         _, lab = max(candidates) if rule == "leftmost" else min(candidates)
@@ -459,12 +442,8 @@ def extraction_word(matrix: Matrix, rule: str = "leftmost"):
         for c in range(box.left, box.right + 1):
             heights[c] = box.bottom + 1
         removed.append(lab)
-    assert heights == [nrows] * ncols
+    assert heights == [n] * n
     return tuple(reversed(removed))
-
-
-def staircase_extraction(grid: GridRectangulation, rule: str = "leftmost") -> Word:
-    return extraction_word(grid.matrix, rule)
 
 
 def _delete_bottom_left(work: list[list[int]]) -> int:
@@ -533,10 +512,14 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
     """Canonical drawing of an arbitrarily drawn, arbitrarily labelled input.
 
     Returns the canonical grid together with the map from input labels
-    to canonical labels.  Raises :class:`NotDiagonalError` when the
-    input is not a diagonal rectangulation.
+    to canonical labels.  Raises :class:`ValueError` when the input is
+    ragged or some label does not fill a rectangle, and its subclass
+    :class:`NotDiagonalError` when the rectangulation is not diagonal.
     """
     matrix = freeze_matrix(matrix)
+    if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("rows must be non-empty and of equal length")
+    bounding_boxes(matrix)
     violation = diagonal_obstruction(matrix)
     if violation is not None:
         raise NotDiagonalError(violation)

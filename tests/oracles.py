@@ -53,11 +53,85 @@ def filter_avoiders(n: int, patterns) -> list[Word]:
     ]
 
 
+def staircase_rho(word: Word) -> tuple:
+    """The drawing of word by staircase insertion, as a frozen matrix.
+
+    Rectangles are laid down in word order against a non-increasing
+    staircase that starts as the full square.  Value j lands with its
+    upper-left corner on the staircase at the diagonal cell (j-1, j-1)
+    when the staircase passes through it, pushing the boundary upward.
+    """
+    n = len(word)
+    assert n > 0 and sorted(word) == list(range(1, n + 1))
+    # heights[c] = current staircase height over column c, measured as a
+    # lattice row; the region still to fill is {(r, c) : r >= heights[c]}
+    # read per column.  Non-increasing insertion keeps it sorted.
+    heights = [n] * n
+    grid = [[0] * n for _ in range(n)]
+    for j in word:
+        d = j - 1
+        lo = heights[d - 1] if d >= 1 else 0
+        hi = heights[d] if d <= n - 1 else n
+        if lo <= d <= hi:
+            ulx, uly = d, lo
+        else:
+            # staircase already passed above the diagonal cell; slide
+            # right along the run at height d, or to the first taller
+            # column when no column sits at height d
+            assert d < lo
+            at_level = [c for c in range(n) if heights[c] == d]
+            if at_level:
+                ulx = at_level[-1] + 1
+            else:
+                ulx = min(c for c in range(n) if heights[c] > d)
+            uly = d
+        hi_right = heights[j] if j <= n - 1 else n
+        if heights[j - 1] <= j <= hi_right:
+            lrx = next((c for c in range(n) if heights[c] > j), n)
+            lry = j
+        else:
+            assert heights[j - 1] > j
+            lrx, lry = j, heights[j - 1]
+        assert ulx < lrx and uly < lry
+        for c in range(ulx, lrx):
+            assert heights[c] == lry
+            heights[c] = uly
+        for r in range(uly, lry):
+            for c in range(ulx, lrx):
+                assert grid[r][c] == 0
+                grid[r][c] = j
+    assert heights == [0] * n
+    return tuple(map(tuple, grid))
+
+
+def bst_parents(seq) -> dict[int, int | None]:
+    """Parent of each value when seq is inserted, in order, into a plain
+    binary search tree; the first value is the root."""
+    parents: dict[int, int | None] = {}
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    root = None
+    for v in seq:
+        parent, node = None, root
+        while node is not None:
+            parent = node
+            node = left.get(node) if v < node else right.get(node)
+        parents[v] = parent
+        if parent is None:
+            root = v
+        elif v < parent:
+            left[parent] = v
+        else:
+            right[parent] = v
+    return parents
+
+
 def brute_fibers(n: int) -> dict[tuple, set[Word]]:
-    """Group all of S_n by the drawing each word produces."""
+    """Group all of S_n by the drawing each word produces under staircase
+    insertion."""
     groups: dict[tuple, set[Word]] = defaultdict(set)
     for word in itertools.permutations(range(1, n + 1)):
-        groups[rf.rho(word).matrix].add(word)
+        groups[staircase_rho(word)].add(word)
     return dict(groups)
 
 

@@ -4,6 +4,8 @@ Each test states its bound explicitly and asserts exact values; the
 suite doubles as the release checklist for the package.
 """
 
+import hashlib
+
 import rectflip as rf
 from rectflip.bijection import baxter_of, rightmost_of, twisted_baxter_of
 from rectflip.cli import graph_dot, render_svg
@@ -20,7 +22,7 @@ from rectflip.flipgraph import (
 )
 from rectflip.flips import FlipKind, classify_edge, flip
 from rectflip.permutation import avoids_class
-from rectflip.rectangulation import rho, staircase_extraction
+from rectflip.rectangulation import extraction_word, rho
 
 from conftest import GOLDEN
 from oracles import slash_consistency_problems
@@ -42,8 +44,8 @@ def test_criterion_01_seven_rectangle_representatives():
 def test_criterion_02_eight_rectangle_representatives():
     """The eight-rectangle drawing yields three distinct representative words."""
     grid = rho((3, 1, 4, 2, 6, 5, 8, 7))
-    left = staircase_extraction(grid, "leftmost")
-    right = staircase_extraction(grid, "rightmost")
+    left = extraction_word(grid, "leftmost")
+    right = extraction_word(grid, "rightmost")
     bax = baxter_of(grid)
     assert left == (3, 1, 4, 2, 6, 5, 8, 7)
     assert bax == (3, 4, 1, 2, 6, 5, 8, 7)
@@ -149,3 +151,17 @@ def test_criterion_12_golden_artifacts():
         fg = build(n)
         assert graph_dot(fg) == (GOLDEN / f"flips_{n}.dot").read_text()
         assert graph_json(fg) == (GOLDEN / f"flips_{n}.json").read_text()
+    # Larger exports pinned by digest, to catch drawing changes that the
+    # small golden files cannot show.
+    digests = {
+        5: ("0b06a0526ce9bc50f39340cc961f62cbbfcfbff41caf344dcdf812f175a22b8b",
+            "eb8ccb483ee8cbc644fce74d6cfea6981ce3097feebf9bdbca4b015a4cabb180"),
+        6: ("32ba5101554577094a3970de8186788a9aa4ac5e68caf2afaee717b8c613f680",
+            "fad393de81395c7ee0ef7d3ec60870ee7a5912c7ba25062de9222dba1fc475fd"),
+        7: ("84b9cbc9297863eca4bcfcda7a233b55d9356d111282a87c05a4982d1a7df5b8",
+            "006b3236eff42e3f628c54b24c9aefe186f6e74360c89c96e4060543065c3dba"),
+    }
+    for n, (json_digest, dot_digest) in digests.items():
+        fg = build(n)
+        assert hashlib.sha256(graph_json(fg).encode()).hexdigest() == json_digest
+        assert hashlib.sha256(graph_dot(fg).encode()).hexdigest() == dot_digest

@@ -108,6 +108,10 @@ def test_map_rejects_non_permutation():
     assert err == "not a permutation of 1..4: (1, 3, 2, 2)\n"
 
 
+def test_map_rejects_superscript_digits():
+    assert run(["map", "²1"]) == (2, "", "bad permutation text: '²1'\n")
+
+
 def test_perms_of_worked_example():
     assert run(["perms"], GRID_7) == (
         0,

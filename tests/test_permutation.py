@@ -62,6 +62,20 @@ def test_parse_rejects(bad):
         parse_permutation(bad)
 
 
+@pytest.mark.parametrize("text", ["²1", "1²", "2¹"])
+def test_parse_rejects_non_decimal_digits_by_name(text):
+    # str.isdigit accepts superscripts, which int() then rejects with a
+    # message about int literals; the parser names the text instead.
+    with pytest.raises(ValueError) as info:
+        parse_permutation(text)
+    assert str(info.value) == f"bad permutation text: {text!r}"
+
+
+def test_pattern_rejects_non_decimal_digits():
+    with pytest.raises(ValueError, match="bad pattern text"):
+        VincularPattern.from_dashed("2-4²-3")
+
+
 def test_format_short_is_digits():
     assert format_permutation((3, 1, 2)) == "312"
 

@@ -20,15 +20,16 @@ from rectflip.rectangulation import (
     relabel,
     rho,
     rho_prime,
-    staircase_extraction,
     twin_trees,
 )
 
 from oracles import (
     _top_left_deletion_ranks,
     brute_fibers,
+    bst_parents,
     diagonal_tilings,
     find_edge_by_scan,
+    staircase_rho,
 )
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
@@ -66,6 +67,26 @@ def test_rho_small_examples():
 
 def test_rho_worked_example():
     assert rho((4, 1, 6, 5, 3, 7, 2)).matrix == RHO_4165372
+
+
+def test_rho_matches_staircase_insertion_exhaustively():
+    checked = 0
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert rho(word).matrix == staircase_rho(word)
+            checked += 1
+    assert checked == 5913
+
+
+@given(words(1, 40))
+def test_rho_matches_staircase_insertion_sampled(word):
+    assert rho(word).matrix == staircase_rho(word)
+
+
+@pytest.mark.parametrize("bad", [(), (1, 1), (2, 3), (0, 1), (1, 3, 2, 2)])
+def test_rho_rejects_non_permutations(bad):
+    with pytest.raises(ValueError):
+        rho(bad)
 
 
 @given(words(1, 8))
@@ -207,6 +228,23 @@ def test_obstruction_on_blocked_rotation():
         canonicalize(BLOCKED_ROTATION)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (((1, 2, 1),), "label 1 does not fill a rectangle"),
+        (((1, 1), (1, 2)), "label 1 does not fill a rectangle"),
+        (((1, 2), (1,)), "rows must be non-empty and of equal length"),
+        (((),), "rows must be non-empty and of equal length"),
+        ((), "rows must be non-empty and of equal length"),
+    ],
+)
+def test_canonicalize_rejects_non_rectangulations(matrix, message):
+    with pytest.raises(ValueError) as info:
+        canonicalize(matrix)
+    assert str(info.value) == message
+    assert not isinstance(info.value, NotDiagonalError)
+
+
 def test_canonicalize_resizes_and_ranks():
     grid, ranks = canonicalize(((1, 1), (2, 3)))
     assert grid.matrix == ((1, 1, 1), (2, 2, 3), (2, 2, 3))
@@ -270,19 +308,19 @@ def test_extraction_word_round_trips():
         for word in itertools.permutations(range(1, n + 1)):
             grid = rho(word)
             for rule in ("leftmost", "rightmost"):
-                assert rho(extraction_word(grid.matrix, rule)).matrix == grid.matrix
+                assert rho(extraction_word(grid, rule)).matrix == grid.matrix
 
 
 def test_extraction_rules_on_worked_examples():
     grid = rho((4, 1, 6, 5, 3, 7, 2))
-    assert staircase_extraction(grid, "leftmost") == (4, 1, 6, 5, 3, 7, 2)
-    assert staircase_extraction(grid, "rightmost") == (4, 6, 5, 1, 3, 7, 2)
+    assert extraction_word(grid, "leftmost") == (4, 1, 6, 5, 3, 7, 2)
+    assert extraction_word(grid, "rightmost") == (4, 6, 5, 1, 3, 7, 2)
     big = rho((3, 1, 4, 2, 6, 5, 8, 7))
-    assert staircase_extraction(big, "leftmost") == (3, 1, 4, 2, 6, 5, 8, 7)
-    assert staircase_extraction(big, "rightmost") == (3, 4, 6, 8, 1, 2, 5, 7)
+    assert extraction_word(big, "leftmost") == (3, 1, 4, 2, 6, 5, 8, 7)
+    assert extraction_word(big, "rightmost") == (3, 4, 6, 8, 1, 2, 5, 7)
     cut = rho((1, 2))
-    assert staircase_extraction(cut, "leftmost") == (1, 2)
-    assert staircase_extraction(cut, "rightmost") == (1, 2)
+    assert extraction_word(cut, "leftmost") == (1, 2)
+    assert extraction_word(cut, "rightmost") == (1, 2)
 
 
 def test_extraction_rules_pick_the_unique_class_avoider():
@@ -292,8 +330,8 @@ def test_extraction_rules_pick_the_unique_class_avoider():
         for word in rf.enumerate_avoiders(n, rf.BAXTER):
             grid = rho(word)
             members = rf.fiber(grid).members
-            left = staircase_extraction(grid, "leftmost")
-            right = staircase_extraction(grid, "rightmost")
+            left = extraction_word(grid, "leftmost")
+            right = extraction_word(grid, "rightmost")
             assert left in members and right in members
             assert [w for w in members if avoids_class(w, rf.TWISTED_BAXTER)] == [left]
             assert [w for w in members if avoids_class(w, rf.RIGHTMOST)] == [right]
@@ -329,6 +367,16 @@ def test_twin_trees_of_small_grids():
     assert tt.upper == {1: 2, 2: None, 3: 2}
     cut = twin_trees(rho((1, 2)))
     assert cut.lower == {1: None, 2: 1} and cut.upper == {1: 2, 2: None}
+
+
+def test_twin_trees_are_search_tree_insertions():
+    # The lower tree inserts the word into a binary search tree, the
+    # upper tree inserts the reversed word; rho's docstring relies on it.
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            tt = twin_trees(rho(word))
+            assert tt.lower == bst_parents(word)
+            assert tt.upper == bst_parents(word[::-1])
 
 
 def test_twin_trees_admit_exactly_the_fiber():
