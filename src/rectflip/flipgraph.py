@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .bijection import baxter_of
-from .flips import FlipKind, neighbors
+from .flips import FlipKind, _edge_recuts
 from .order import between, drec_covers, inversion_mask, pair_bitsets
 from .permutation import (
     BAXTER,
@@ -28,7 +28,13 @@ from .permutation import (
     enumerate_avoiders,
     format_permutation,
 )
-from .rectangulation import GridRectangulation, Matrix, extraction_word, rho
+from .rectangulation import (
+    GridRectangulation,
+    Matrix,
+    _canonical_word,
+    extraction_word,
+    rho,
+)
 
 Pair = tuple[Word, Word]
 
@@ -41,8 +47,9 @@ def _sorted_pair(a: Word, b: Word) -> Pair:
 class FlipGraph:
     """Flip adjacency between all drawings of one size.
 
-    Parallel flips between the same two drawings collapse to a single
-    edge per kind with a multiplicity counter.
+    ``grids`` holds each node's canonical drawing, its matrix and boxes
+    only.  Parallel flips between the same two drawings collapse to a
+    single edge per kind with a multiplicity counter.
     """
 
     n: int
@@ -58,17 +65,20 @@ class FlipGraph:
 def build(n: int) -> FlipGraph:
     """Flip graph on every drawing of size n.
 
-    Flip results are mapped back to node keys through their matrices;
-    that every result matrix is present is itself part of what the
-    verification suites establish.
+    Each flip result is keyed by the Baxter word read off its recut,
+    without drawing the result; a word that is not a node raises
+    KeyError.  The verification suites check the keys against the
+    permutation side independently.
     """
     words = enumerate_avoiders(n, BAXTER)
     grids = {w: rho(w) for w in words}
-    key_of = {grid.matrix: w for w, grid in grids.items()}
+    # Edges share the nodes' own word tuples rather than hold copies.
+    key_of = dict(zip(words, words))
     directed: Counter = Counter()
     for w, grid in grids.items():
-        for flipped, flip_class, _ in neighbors(grid):
-            directed[w, key_of[flipped.matrix], flip_class.kind] += 1
+        for _, flip_class, recut in _edge_recuts(grid):
+            if flip_class.flippable:
+                directed[w, key_of[_canonical_word(recut)[0]], flip_class.kind] += 1
     edges: dict[Pair, dict[FlipKind, int]] = {}
     for (w, w2, kind), count in directed.items():
         assert directed[w2, w, kind] == count

@@ -20,9 +20,10 @@ from .rectangulation import (
     GridRectangulation,
     Matrix,
     Rect,
-    _canonical_form,
+    _canonical_word,
     diagonal_obstruction,
     freeze_matrix,
+    rho,
 )
 
 _OPPOSITE = {"up": "down", "down": "up", "left": "right", "right": "left"}
@@ -143,7 +144,15 @@ def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix |
 
 
 def _check_interior(grid: GridRectangulation, edge: Edge) -> None:
-    if edge not in grid.interior_edges():
+    # An interior edge is the wall that find_edge draws between the two
+    # labels on either side of its first unit, so no geometry is needed.
+    n, found = grid.n, None
+    if 0 < edge.line < n and 0 <= edge.start < n:
+        try:
+            found = grid.find_edge(*grid.edge_labels(edge))
+        except ValueError:  # the two labels share no wall
+            pass
+    if found != edge:
         raise ValueError(f"not an interior edge of this drawing: {edge}")
 
 
@@ -156,7 +165,8 @@ def _flip(
     grid: GridRectangulation, edge: Edge, recut: Matrix
 ) -> tuple[GridRectangulation, Edge]:
     # Flip a flippable edge, given the recut that classifying it returned.
-    flipped, ranks = _canonical_form(recut)
+    sigma, ranks = _canonical_word(recut)
+    flipped = rho(sigma)
     a, b = grid.edge_labels(edge)
     new_edge = flipped.find_edge(ranks[a], ranks[b])
     assert new_edge.orient != edge.orient
@@ -186,6 +196,16 @@ def sorted_edges(grid: GridRectangulation) -> list[Edge]:
     return sorted(grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient))
 
 
+def _edge_recuts(
+    grid: GridRectangulation,
+) -> Iterator[tuple[Edge, FlipClass, Matrix | None]]:
+    # Every interior edge in sorted_edges order, its class and, if it is
+    # flippable, its recut: a drawing of the flip result with the
+    # input's labels, free of diagonal obstructions.
+    for edge in sorted_edges(grid):
+        yield edge, *_classify(grid, edge)
+
+
 def edge_flips(
     grid: GridRectangulation,
 ) -> Iterator[tuple[Edge, FlipClass, tuple[GridRectangulation, Edge] | None]]:
@@ -194,16 +214,18 @@ def edge_flips(
     Edges come in :func:`sorted_edges` order.  Each edge is classified
     once, and flips the recut that its classification returned.
     """
-    for edge in sorted_edges(grid):
-        flip_class, recut = _classify(grid, edge)
-        flipped = _flip(grid, edge, recut) if flip_class.flippable else None
-        yield edge, flip_class, flipped
+    for edge, flip_class, recut in _edge_recuts(grid):
+        yield edge, flip_class, _flip(grid, edge, recut) if flip_class.flippable else None
 
 
 def neighbors(
     grid: GridRectangulation,
 ) -> list[tuple[GridRectangulation, FlipClass, Edge]]:
-    """Flip results over all flippable edges, in :func:`sorted_edges` order."""
+    """Flip results over all flippable edges, in :func:`sorted_edges` order.
+
+    Each result is drawn as a canonical grid.  :func:`rectflip.flipgraph.build`
+    does not call this: it keys each result by its Baxter word, undrawn.
+    """
     return [(f[0], fc, e) for e, fc, f in edge_flips(grid) if f is not None]
 
 
@@ -235,4 +257,4 @@ def law_reading_edges(grid: GridRectangulation) -> frozenset[Edge]:
         for d in toward:
             if d in vertex.dirs and _OPPOSITE[d] in vertex.dirs:
                 excluded.add(incident[(r, c), d])
-    return frozenset(e for e in grid.interior_edges() if e not in excluded)
+    return frozenset(e for e in geo.edges if 0 < e.line < n and e not in excluded)

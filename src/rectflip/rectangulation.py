@@ -18,7 +18,6 @@ to (n, n).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .permutation import Word, check_word
@@ -287,8 +286,9 @@ class GridRectangulation:
     def n(self) -> int:
         return len(self.matrix)
 
-    @cached_property
+    @property
     def geometry(self) -> Geometry:
+        """The wall structure, recomputed on each access: a grid keeps none."""
         return geometry(self.matrix)
 
     def interior_edges(self) -> tuple[Edge, ...]:
@@ -523,22 +523,23 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
     violation = diagonal_obstruction(matrix)
     if violation is not None:
         raise NotDiagonalError(violation)
-    return _canonical_form(matrix)
+    sigma, rank = _canonical_word(matrix)
+    return rho(sigma), rank
 
 
-def _canonical_form(matrix: Matrix) -> tuple[GridRectangulation, dict[int, int]]:
-    # The body of canonicalize, for a matrix that its caller has already
-    # found free of diagonal obstructions.  Deleting top-left corners
+def _canonical_word(matrix: Matrix) -> tuple[Word, dict[int, int]]:
+    # The Baxter word of a matrix that its caller has already found free
+    # of diagonal obstructions, and the rank of each of its labels; the
+    # canonical drawing is rho of the word.  Deleting top-left corners
     # ranks the labels so that, on a canonical drawing, label i has rank
     # i; that is bottom-left deletion of the row-reflected drawing.
-    # Bottom-left deletion of the drawing itself, ranked, is the Baxter
-    # word, whose insertion draws the canonical grid.
+    # Bottom-left deletion of the drawing itself, ranked, is the word.
     rank = {
         lab: i for i, lab in enumerate(block_deletion_word(reflect_rows(matrix)), 1)
     }
     sigma = tuple(rank[lab] for lab in block_deletion_word(matrix))
     check_word(sigma)
-    return rho(sigma), rank
+    return sigma, rank
 
 
 def reflect_rows(matrix: Matrix) -> Matrix:

@@ -8,7 +8,7 @@ types themselves.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 
 import rectflip as rf
 
@@ -135,9 +135,10 @@ def brute_fibers(n: int) -> dict[tuple, set[Word]]:
     return dict(groups)
 
 
-def find_edge_by_scan(grid, a: int, b: int):
-    """The interior edge separating rectangles a and b, by testing every edge."""
-    for e in grid.interior_edges():
+def find_edge_by_scan(grid, edges, a: int, b: int):
+    """The interior edge separating rectangles a and b, by testing every
+    edge in edges, the grid's interior edges."""
+    for e in edges:
         if set(grid.edge_labels(e)) == {a, b}:
             return e
     raise ValueError(f"rectangles {a} and {b} share no wall")
@@ -296,6 +297,24 @@ def pairwise_covers(words) -> set[tuple[Word, Word]]:
             kept.append(s)
             covers.add((w, hi))
     return covers
+
+
+def matrix_keyed_build(n: int):
+    """Nodes and typed edges of the flip graph, each flip result drawn as
+    a canonical grid by neighbors and keyed by its matrix: how build
+    keyed flips before it read their Baxter words off the recuts."""
+    words = rf.enumerate_avoiders(n, rf.BAXTER)
+    grids = {w: rf.rho(w) for w in words}
+    key_of = {grid.matrix: w for w, grid in grids.items()}
+    directed: Counter = Counter()
+    for w, grid in grids.items():
+        for flipped, flip_class, _ in rf.neighbors(grid):
+            directed[w, key_of[flipped.matrix], flip_class.kind] += 1
+    edges: dict = {}
+    for (w, w2, kind), count in directed.items():
+        assert directed[w2, w, kind] == count
+        edges.setdefault(tuple(sorted((w, w2))), {})[kind] = count
+    return tuple(words), edges
 
 
 def bfs_diameter(fg):

@@ -21,7 +21,7 @@ from rectflip.flips import FlipKind, neighbors
 from rectflip.permutation import consecutive_value_swap
 from rectflip.rectangulation import rho
 
-from oracles import bfs_diameter
+from oracles import bfs_diameter, matrix_keyed_build
 
 
 def test_build_3_is_the_known_graph():
@@ -76,6 +76,16 @@ def test_build_matches_per_node_rebuild():
                 for kind, mult in tags.items():
                     from_graph[other, kind] += mult
         assert seen == from_graph
+
+
+def test_build_matches_matrix_keyed_oracle():
+    # Same nodes, edges, kinds and multiplicities as drawing every flip
+    # result and looking its matrix up among the nodes' drawings.
+    for n in range(1, 7):
+        fg = build(n)
+        nodes, edges = matrix_keyed_build(n)
+        assert fg.nodes == nodes
+        assert fg.edges == edges
 
 
 def test_metrics_trivial_sizes():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import rectflip as rf
@@ -17,8 +19,9 @@ from rectflip.flips import (
 from rectflip.permutation import inverse
 from rectflip.rectangulation import (
     GridRectangulation,
-    _canonical_form,
+    _canonical_word,
     diagonal_obstruction,
+    geometry,
     rho,
 )
 
@@ -104,6 +107,58 @@ def test_classify_rejects_foreign_edge():
     stranger = rho((3, 2, 1)).find_edge(2, 3)
     with pytest.raises(ValueError):
         classify_edge(g, stranger)
+
+
+def _near_misses(edge):
+    # The edge with one field shifted by one, one flag flipped or the
+    # orientation swapped.
+    yield edge
+    for name in ("line", "start", "end"):
+        for step in (-1, 1):
+            yield dataclasses.replace(edge, **{name: getattr(edge, name) + step})
+    yield dataclasses.replace(edge, matched_start=not edge.matched_start)
+    yield dataclasses.replace(edge, matched_end=not edge.matched_end)
+    yield dataclasses.replace(edge, orient="v" if edge.orient == "h" else "h")
+
+
+def test_interior_check_accepts_exactly_the_interior_edges():
+    # Every wall piece of every drawing, boundary pieces included, and
+    # its near misses: classify_edge and flip take the interior pieces
+    # and reject everything else with the same message.
+    rejected = 0
+    for n in range(1, 7):
+        for g in grids(n):
+            interior = set(g.interior_edges())
+            candidates = {m for e in geometry(g.matrix).edges for m in _near_misses(e)}
+            for e in candidates:
+                if e in interior:
+                    fc = classify_edge(g, e)
+                    if fc.flippable:
+                        flip(g, e)
+                    else:
+                        with pytest.raises(EdgeUnflippable):
+                            flip(g, e)
+                    continue
+                rejected += 1
+                message = f"not an interior edge of this drawing: {e}"
+                for check in (classify_edge, flip):
+                    with pytest.raises(ValueError) as exc:
+                        check(g, e)
+                    assert type(exc.value) is ValueError
+                    assert str(exc.value) == message
+    assert rejected > 0
+
+
+def test_flips_leave_no_cache_on_graph_grids():
+    # The graph's drawings keep their matrix and boxes and nothing else,
+    # however they have been flipped and classified.
+    for g in build(6).grids.values():
+        neighbors(g)
+        law_reading_edges(g)
+        for e in g.interior_edges():
+            if classify_edge(g, e).flippable:
+                flip(g, e)
+        assert vars(g).keys() == {"matrix", "rects"}
 
 
 def test_crossing_behaviour_by_class():
@@ -275,8 +330,8 @@ def test_simple_recuts_are_canonical():
                 flip_class, recut = _classify(g, e)
                 assert flip_class.kind is FlipKind.SIMPLE
                 assert diagonal_obstruction(recut) is None
-                flipped, ranks = _canonical_form(recut)
-                assert flipped == GridRectangulation(recut)
+                sigma, ranks = _canonical_word(recut)
+                assert rho(sigma) == GridRectangulation(recut)
                 assert ranks == {i: i for i in range(1, n + 1)}
 
 

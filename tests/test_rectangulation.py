@@ -152,9 +152,9 @@ def test_interior_edge_ids_of_worked_example():
 
 def test_find_edge_matches_scan_oracle():
     # every ordered pair of distinct labels, walls shared or not
-    def outcome(find, grid, a, b):
+    def outcome(find, *args):
         try:
-            return find(grid, a, b)
+            return find(*args)
         except ValueError as exc:
             return str(exc)
 
@@ -162,10 +162,11 @@ def test_find_edge_matches_scan_oracle():
     for n in range(1, 7):
         for w in rf.enumerate_avoiders(n, rf.BAXTER):
             grid = rho(w)
+            edges = grid.interior_edges()
             for a, b in itertools.permutations(range(1, n + 1), 2):
                 pairs += 1
-                expected = outcome(find_edge_by_scan, grid, a, b)
-                assert outcome(GridRectangulation.find_edge, grid, a, b) == expected
+                expected = outcome(find_edge_by_scan, grid, edges, a, b)
+                assert outcome(grid.find_edge, a, b) == expected
     assert pairs == 14804
 
 
