@@ -1,36 +1,66 @@
-"""Fail when build(7) needs more memory than its budget.
+"""Fail when build(7) or grouping S_8 needs more memory than its budget.
 
-Builds the flip graph on all 2,074 drawings of size 7 in a fresh child
-process and reads that child's peak resident set size.  Exits 0 when it
-is at most the budget and 1 otherwise, printing the measured peak.
+Each check runs in a fresh child process, which prints its own peak
+resident set size when its work is done.  Exits 0 when every peak is at
+most its budget and 1 otherwise, printing each measured peak.
 
     PYTHONPATH=src python3 ci/graph_memory.py
 
-The budget, 40 MB, sits between the 20-24 MB that build(7) peaks
-at when each drawing keeps only its matrix and boxes and the 46-50 MB it
-took when every drawing also cached its wall geometry (Python 3.10 to
-3.13 on a 2-CPU x86-64 Linux host).
+build(7) builds the flip graph on all 2,074 drawings of size 7.  Its
+budget, 40 MB, sits between the 20-24 MB that build(7) peaks at when
+each drawing keeps only its matrix and boxes and the 46-50 MB it took
+when every drawing also cached its wall geometry.
+
+_fibers(8) groups all 40,320 words of size 8 into the 10,754 fibers of
+rho.  Its budget, 26 MB, sits between the 19-23 MB it peaks at when the
+words are keyed by the bytes of their boxes, with one grid drawn per
+fiber as the fibers are consumed, and the 29-33 MB it took when every
+word was drawn and keyed by its matrix.
+
+All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host.
 """
 
 from __future__ import annotations
 
-import resource
 import subprocess
 import sys
 
-BUDGET_MB = 40.0
+CHECKS = (
+    (
+        "build(7)",
+        40.0,
+        "from rectflip.flipgraph import build; assert len(build(7).nodes) == 2074",
+    ),
+    (
+        "_fibers(8)",
+        26.0,
+        "from rectflip.flipgraph import _fibers; "
+        "assert sum(1 for _ in _fibers(8)) == 10754",
+    ),
+)
 
-CHILD = "from rectflip.flipgraph import build; assert len(build(7).nodes) == 2074"
+REPORT_PEAK = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+
+
+def peak_mb(code: str) -> float:
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{REPORT_PEAK}"],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    return int(out.split()[-1]) / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
 def main() -> int:
-    subprocess.run([sys.executable, "-c", CHILD], check=True)
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
-    peak_mb = peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
-    verdict = "ok" if peak_mb <= BUDGET_MB else "over budget"
-    print(f"build(7) peak RSS {peak_mb:.1f} MB, budget {BUDGET_MB:.0f} MB: {verdict}")
-    return 0 if peak_mb <= BUDGET_MB else 1
+    ok = True
+    for name, budget, code in CHECKS:
+        peak = peak_mb(code)
+        verdict = "ok" if peak <= budget else "over budget"
+        print(f"{name} peak RSS {peak:.1f} MB, budget {budget:.0f} MB: {verdict}")
+        ok = ok and peak <= budget
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

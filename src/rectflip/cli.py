@@ -41,7 +41,7 @@ from .permutation import (
     format_permutation,
     parse_permutation,
 )
-from .rectangulation import GridRectangulation, Matrix, bounding_boxes, rho
+from .rectangulation import GridRectangulation, Matrix, NotRectangularError, rho
 
 MAX_GRAPH_N = 8
 
@@ -96,11 +96,12 @@ def _load_grid(source: str) -> GridRectangulation:
     text = _read_text(source)
     try:
         matrix = parse_grid(text)
-        bounding_boxes(matrix)
     except ValueError as exc:
         raise _Exit(2, f"invalid rectangulation: {exc}") from None
     try:
         return GridRectangulation(matrix)
+    except NotRectangularError as exc:
+        raise _Exit(2, f"invalid rectangulation: {exc}") from None
     except ValueError as exc:
         raise _Exit(3, f"not a canonical diagonal drawing: {exc}") from None
 

@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from typing import Iterable, Iterator
 
 from .bijection import baxter_of
 from .flips import FlipKind, _edge_recuts
@@ -30,8 +31,9 @@ from .permutation import (
 )
 from .rectangulation import (
     GridRectangulation,
-    Matrix,
+    Rect,
     _canonical_word,
+    _run_boxes,
     extraction_word,
     rho,
 )
@@ -258,12 +260,30 @@ def verify_characterization(n: int) -> VerificationReport:
     )
 
 
-def _fibers(n: int) -> dict[Matrix, list[Word]]:
-    # Every permutation of size n, grouped by the drawing it produces.
-    groups: dict[Matrix, list[Word]] = {}
+def _box_key(boxes: Iterable[Rect]) -> bytes:
+    # The coordinates of boxes given in label order, one byte each.
+    return bytes(itertools.chain.from_iterable(boxes))
+
+
+def _grid_key(grid: GridRectangulation) -> bytes:
+    return _box_key(map(grid.rects.__getitem__, range(1, grid.n + 1)))
+
+
+def _fibers(n: int) -> Iterator[tuple[GridRectangulation, list[Word]]]:
+    # Every permutation of size n, grouped by the boxes rho draws for it.
+    # Each fiber's grid is drawn once, from its first member, and must
+    # validate to exactly the boxes it was grouped by, so the groups are
+    # the fibers of rho.  Grids are made as the fibers are consumed.
+    groups: dict[bytes, list[Word]] = {}
     for w in itertools.permutations(range(1, n + 1)):
-        groups.setdefault(rho(w).matrix, []).append(w)
-    return groups
+        groups.setdefault(_box_key(_run_boxes(w)), []).append(w)
+    for key, members in groups.items():
+        grid = rho(members[0])
+        if _grid_key(grid) != key:
+            raise RuntimeError(
+                f"rho draws {format_permutation(members[0])} off its run boxes"
+            )
+        yield grid, members
 
 
 def verify_counts(n: int) -> VerificationReport:
@@ -276,13 +296,13 @@ def verify_counts(n: int) -> VerificationReport:
     """
     fg = build(n)
     failures = []
-    distinct = _fibers(n).keys()
-    node_matrices = {grid.matrix for grid in fg.grids.values()}
+    distinct = {_grid_key(grid) for grid, _ in _fibers(n)}
+    node_keys = {_grid_key(grid) for grid in fg.grids.values()}
     if len(fg.nodes) != len(distinct):
         failures.append(
             f"{len(fg.nodes)} nodes but {len(distinct)} distinct drawings"
         )
-    if node_matrices != distinct:
+    if node_keys != distinct:
         failures.append("node drawings differ from the drawings of all permutations")
     for w in fg.nodes:
         back = baxter_of(fg.grids[w])
@@ -304,16 +324,16 @@ def verify_inversion(n: int) -> VerificationReport:
     contributes exactly one member.  Interval sizes are popcounts of
     bitset intervals over all of S_n.
     """
-    groups = _fibers(n)
-    masks = {w: inversion_mask(w) for members in groups.values() for w in members}
+    masks = {w: inversion_mask(w) for w in itertools.permutations(range(1, n + 1))}
     bitsets = pair_bitsets(list(masks.values()))
     classes = {
         pclass: set(enumerate_avoiders(n, pclass))
         for pclass in (BAXTER, TWISTED_BAXTER, RIGHTMOST)
     }
     failures = []
-    for matrix, members in groups.items():
-        grid = GridRectangulation(matrix)
+    fibers = 0
+    for grid, members in _fibers(n):
+        fibers += 1
         lo = extraction_word(grid, "leftmost")
         hi = extraction_word(grid, "rightmost")
         tag = f"fiber of {format_permutation(lo)}"
@@ -337,7 +357,7 @@ def verify_inversion(n: int) -> VerificationReport:
                 failures.append(
                     f"{tag}: {len(hits)} members avoid {pclass.name}"
                 )
-    return VerificationReport("inversion", n, len(groups), tuple(failures))
+    return VerificationReport("inversion", n, fibers, tuple(failures))
 
 
 def graph_json(fg: FlipGraph) -> str:

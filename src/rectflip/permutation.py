@@ -176,25 +176,45 @@ def _ends_at(word: Word, end: int, pattern: VincularPattern) -> bool:
     if end < k - 1:
         return False
     last, q_last = word[end], pat[-1]
-    if k == 4 and glued == {2} and {pat[1], pat[2]} == {1, 4}:
-        # The length-4 patterns used throughout this package: the 14/41
-        # block is an adjacent host pair left of the last letter, and the
-        # first letter is the nearest value below or above the last letter
-        # among the entries before the block.
-        rising, first_below = pat[1] < pat[2], pat[0] < q_last
-        below, above = 0, len(word) + 1
-        for i in range(1, end - 1):
-            u = word[i - 1]
-            if below < u < last:
-                below = u
-            elif last < u < above:
-                above = u
-            v2, v3 = word[i], word[i + 1]
-            if (v2 < v3) != rising:
-                continue
-            lo, hi = (v2, v3) if v2 < v3 else (v3, v2)
-            if lo < last < hi and (below > lo if first_below else above < hi):
+    if k == 4 and glued <= {2} and {pat[1], pat[2]} == {1, 4}:
+        # The length-4 patterns used throughout this package.  The middle
+        # block holds the smallest and largest letters, and the first
+        # letter lies between the last letter and the block letter on its
+        # side.  After negating every value when needed, that side is
+        # below: first is the largest value below the last letter so far.
+        # A glued block ends right after it starts, so there armed lasts
+        # one entry; unset is below every value.
+        rising, adjacent = pat[1] < pat[2], 2 in glued
+        if pat[0] > q_last:
+            word, last, rising = [-u for u in word], -last, not rising
+        unset = -len(word) - 1
+        first = armed = unset
+        if rising:
+            # A block starts below the last letter, so first is checked
+            # at the start; armed marks a start that passed.
+            for v in word[:end]:
+                if v > last:
+                    if armed != unset:
+                        return True
+                elif v < first:
+                    armed = first
+                else:
+                    first = v
+                    if adjacent:
+                        armed = unset
+            return False
+        # A block ends below the last letter; armed carries first from the
+        # latest start, which only grows, to be checked at the end.
+        for v in word[:end]:
+            if v > last:
+                armed = first
+            elif v < armed:
                 return True
+            else:
+                if adjacent:
+                    armed = unset
+                if first < v:
+                    first = v
         return False
 
     # Backtrack over the first k - 1 letters, all left of end, comparing

@@ -18,6 +18,7 @@ to (n, n).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .permutation import Word, check_word
@@ -40,27 +41,35 @@ def freeze_matrix(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+class NotRectangularError(ValueError):
+    """Some label of a matrix does not fill its bounding box."""
+
+
 def bounding_boxes(matrix: Matrix) -> dict[int, Rect]:
-    """Box of each label, checking that every label fills its box exactly."""
+    """Box of each label, checking that every label fills its box exactly.
+
+    Each run of one label in a row opens the label's box or must extend
+    it down by one row, with the same columns.  Labels keep the order the
+    rows first show them in, and a failure names the first bad one.
+    """
     boxes: dict[int, list[int]] = {}
+    bad = set()
     for r, row in enumerate(matrix):
-        for c, lab in enumerate(row):
+        c = 0
+        for lab, run in groupby(row):
+            right = c + len(list(run)) - 1
             box = boxes.get(lab)
             if box is None:
-                boxes[lab] = [r, c, r, c]
+                boxes[lab] = [r, c, r, right]
+            elif box[2] == r - 1 and box[1] == c and box[3] == right:
+                box[2] = r
             else:
-                box[0] = min(box[0], r)
-                box[1] = min(box[1], c)
-                box[2] = max(box[2], r)
-                box[3] = max(box[3], c)
-    out = {}
-    for lab, (t, l, b, rr) in boxes.items():
-        for r in range(t, b + 1):
-            for c in range(l, rr + 1):
-                if matrix[r][c] != lab:
-                    raise ValueError(f"label {lab} does not fill a rectangle")
-        out[lab] = Rect(t, l, b, rr)
-    return out
+                bad.add(lab)
+            c = right + 1
+    if bad:
+        lab = next(lab for lab in boxes if lab in bad)
+        raise NotRectangularError(f"label {lab} does not fill a rectangle")
+    return {lab: Rect(*box) for lab, box in boxes.items()}
 
 
 @dataclass(frozen=True)
@@ -369,22 +378,36 @@ def rho(word: Word) -> GridRectangulation:
     """
     check_word(word)
     n = len(word)
-    pos = {v: i for i, v in enumerate(word)}
-
-    def run_end(j: int, step: int, after: bool) -> int:
-        # diagonal index of the last value of the run from j by step
-        k = j
-        while 0 < k + step <= n and (pos[k + step] > pos[j]) == after:
-            k += step
-        return k - 1
-
     grid = [[0] * n for _ in range(n)]
-    for j in word:
-        left, bottom = run_end(j, -1, True), run_end(j, 1, True)
-        top, right = run_end(j, -1, False), run_end(j, 1, False)
+    for j, (top, left, bottom, right) in enumerate(_run_boxes(word), 1):
         for r in range(top, bottom + 1):
             grid[r][left : right + 1] = [j] * (right - left + 1)
     return GridRectangulation(freeze_matrix(grid))
+
+
+def _run_boxes(word: Word) -> list[Rect]:
+    # The box rho draws for each value of word, in value order, on
+    # diagonal indices d = value - 1.  The run down from d lies wholly
+    # after d in word or wholly before it, so it stretches d's box left
+    # or up and the diagonal cell bounds the other side; the run up from
+    # d stretches it down or right alike.
+    n = len(word)
+    pos = [0] * n
+    for i, v in enumerate(word):
+        pos[v - 1] = i
+    boxes = []
+    for d, p in enumerate(pos):
+        lo = hi = d
+        down_after = d > 0 and pos[d - 1] > p
+        while lo > 0 and (pos[lo - 1] > p) == down_after:
+            lo -= 1
+        up_after = d < n - 1 and pos[d + 1] > p
+        while hi < n - 1 and (pos[hi + 1] > p) == up_after:
+            hi += 1
+        top, left = (d, lo) if down_after else (lo, d)
+        bottom, right = (hi, d) if up_after else (d, hi)
+        boxes.append(Rect(top, left, bottom, right))
+    return boxes
 
 
 def rho_prime(word: Word) -> Matrix:

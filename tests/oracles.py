@@ -53,6 +53,31 @@ def filter_avoiders(n: int, patterns) -> list[Word]:
     ]
 
 
+def minmax_bounding_boxes(matrix) -> dict:
+    """Box of each label from per-cell min/max updates, then a re-read of
+    every cell of every box; raises ValueError naming the first label, in
+    order of first appearance, that does not fill its box."""
+    boxes: dict[int, list[int]] = {}
+    for r, row in enumerate(matrix):
+        for c, lab in enumerate(row):
+            box = boxes.get(lab)
+            if box is None:
+                boxes[lab] = [r, c, r, c]
+            else:
+                box[0] = min(box[0], r)
+                box[1] = min(box[1], c)
+                box[2] = max(box[2], r)
+                box[3] = max(box[3], c)
+    out = {}
+    for lab, (t, l, b, rr) in boxes.items():
+        for r in range(t, b + 1):
+            for c in range(l, rr + 1):
+                if matrix[r][c] != lab:
+                    raise ValueError(f"label {lab} does not fill a rectangle")
+        out[lab] = rf.Rect(t, l, b, rr)
+    return out
+
+
 def staircase_rho(word: Word) -> tuple:
     """The drawing of word by staircase insertion, as a frozen matrix.
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rectflip as rf
+from rectflip import rectangulation
 from rectflip.cli import main, parse_grid, render_svg
 from rectflip.flipgraph import VerificationReport
 from rectflip.rectangulation import rho
@@ -154,6 +155,9 @@ def test_perms_rejects_non_canonical_drawing():
     code, out, err = run(["perms"], bad)
     assert (code, out) == (3, "")
     assert err == "not a canonical diagonal drawing: diagonal cell (1, 1) must hold label 2\n"
+    code, out, err = run(["perms"], "1 1\n3 3\n")
+    assert (code, out) == (3, "")
+    assert err == "not a canonical diagonal drawing: labels must be exactly 1..n\n"
 
 
 def test_perms_rejects_malformed_grid():
@@ -162,6 +166,24 @@ def test_perms_rejects_malformed_grid():
     assert err == "invalid rectangulation: grid must be square\n"
     code, _, err = run(["perms"], "1 x\n1 2\n")
     assert code == 2 and err.startswith("invalid rectangulation: bad grid row")
+    code, out, err = run(["perms"], "1 2\n2 1\n")
+    assert (code, out) == (2, "")
+    assert err == "invalid rectangulation: label 1 does not fill a rectangle\n"
+
+
+def test_render_validates_the_loaded_grid_once(monkeypatch):
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    real = rectangulation.bounding_boxes
+    expected = [rho((4, 1, 6, 5, 3, 7, 2)).matrix]
+    monkeypatch.setattr(rectangulation, "bounding_boxes", counting)
+    code, out, _ = run(["render", "--svg", "-"], GRID_7)
+    assert code == 0 and out.startswith("<?xml")
+    assert calls == expected
 
 
 def test_perms_respects_fiber_cap():

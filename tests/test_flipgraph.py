@@ -1,7 +1,10 @@
 import json
 from collections import Counter
 
+import pytest
+
 import rectflip as rf
+from rectflip import flipgraph
 from rectflip.bijection import baxter_of
 from rectflip.flipgraph import (
     FlipGraph,
@@ -19,9 +22,9 @@ from rectflip.flipgraph import (
 )
 from rectflip.flips import FlipKind, neighbors
 from rectflip.permutation import consecutive_value_swap
-from rectflip.rectangulation import rho
+from rectflip.rectangulation import Rect, rho
 
-from oracles import bfs_diameter, matrix_keyed_build
+from oracles import bfs_diameter, brute_fibers, matrix_keyed_build
 
 
 def test_build_3_is_the_known_graph():
@@ -227,3 +230,27 @@ def test_pairs_tagged_filters_kinds():
     assert ((1, 3, 2), (2, 3, 1)) not in simple
     assert len(simple) == 4
     assert len(fg.pairs_tagged(set(FlipKind))) == 8
+
+
+def test_fibers_match_staircase_oracle():
+    for n in range(1, 7):
+        groups = {grid.matrix: set(members) for grid, members in flipgraph._fibers(n)}
+        assert groups == brute_fibers(n)
+
+
+def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
+    # 2143 and 2413 draw the same grid; a shifted box for 2413 alone
+    # would split their fiber in two if the keys were not checked.
+    real = flipgraph._run_boxes
+
+    def shifted(word):
+        boxes = real(word)
+        if word == (2, 4, 1, 3):
+            t, l, b, r = boxes[0]
+            boxes[0] = Rect(t, l + 1, b, r + 1)
+        return boxes
+
+    assert rho((2, 1, 4, 3)) == rho((2, 4, 1, 3))
+    monkeypatch.setattr(flipgraph, "_run_boxes", shifted)
+    with pytest.raises(RuntimeError, match="rho draws 2413 off its run boxes"):
+        list(flipgraph._fibers(4))

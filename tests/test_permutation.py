@@ -127,7 +127,12 @@ def test_matcher_agrees_with_brute_force_exhaustively():
 
 
 def test_end_anchored_matcher_agrees_with_brute_force_exhaustively():
-    extra = [VincularPattern.from_dashed(d) for d in ("231", "21", "3-12")]
+    # 2-1-4-3 and 3-4-1-2 take the unglued block scan with the separable
+    # patterns; 21-4-3 and 3-4-12 are glued elsewhere and backtrack.
+    extra = [
+        VincularPattern.from_dashed(d)
+        for d in ("231", "21", "3-12", "2-1-4-3", "3-4-1-2", "21-4-3", "3-4-12")
+    ]
     for n in range(1, 7):
         for host in itertools.permutations(range(1, n + 1)):
             for end in range(n):

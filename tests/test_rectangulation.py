@@ -29,6 +29,7 @@ from oracles import (
     bst_parents,
     diagonal_tilings,
     find_edge_by_scan,
+    minmax_bounding_boxes,
     staircase_rho,
 )
 
@@ -126,6 +127,52 @@ def test_diagonal_tilings_are_the_baxter_drawings():
 def test_bounding_boxes_requires_solid_blocks():
     with pytest.raises(ValueError):
         bounding_boxes(((1, 2), (2, 1)))
+
+
+def _boxes_or_error(find, matrix):
+    try:
+        return list(find(matrix).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_bounding_boxes_match_minmax_oracle_on_every_drawing():
+    for n in range(1, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            matrix = rho(w).matrix
+            assert _boxes_or_error(bounding_boxes, matrix) == _boxes_or_error(
+                minmax_bounding_boxes, matrix
+            )
+
+
+def _perturbed_drawing(word, r, c, lab):
+    rows = [list(row) for row in rho(word).matrix]
+    n = len(word)
+    rows[r % n][c % n] = lab
+    return freeze_matrix(rows)
+
+
+small_matrices = st.one_of(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(1, 4), min_size=width, max_size=width),
+            min_size=1,
+            max_size=5,
+        )
+    ).map(freeze_matrix),
+    st.builds(
+        _perturbed_drawing, words(1, 6), st.integers(0, 5), st.integers(0, 5),
+        st.integers(1, 7),
+    ),
+)
+
+
+@given(small_matrices)
+def test_bounding_boxes_match_minmax_oracle(matrix):
+    # Equal boxes in equal order, or the same ValueError text.
+    assert _boxes_or_error(bounding_boxes, matrix) == _boxes_or_error(
+        minmax_bounding_boxes, matrix
+    )
 
 
 def test_geometry_of_vertical_cut():
