@@ -1,4 +1,5 @@
-"""Fail when build(7) or grouping S_8 needs more memory than its budget.
+"""Fail when build(7), grouping S_8 or enumerating the Baxter
+permutations of size 10 needs more memory than its budget.
 
 Each check runs in a fresh child process, which prints its own peak
 resident set size when its work is done.  Exits 0 when every peak is at
@@ -16,6 +17,13 @@ rho.  Its budget, 26 MB, sits between the 19-23 MB it peaks at when the
 words are keyed by the bytes of their boxes, with one grid drawn per
 fiber as the fibers are consumed, and the 29-33 MB it took when every
 word was drawn and keyed by its matrix.
+
+enumerate_avoiders(10, BAXTER) lists all 326,240 Baxter permutations of
+size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when
+the levels grow as bytes and the sorted last level is turned into tuples
+in place, and the 74-78 MB it takes when the tuples are built as a
+second list while the bytes are still held.  Growing the levels as
+tuples took 62-66 MB.
 
 All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host.
 """
@@ -36,6 +44,12 @@ CHECKS = (
         26.0,
         "from rectflip.flipgraph import _fibers; "
         "assert sum(1 for _ in _fibers(8)) == 10754",
+    ),
+    (
+        "enumerate_avoiders(10, BAXTER)",
+        70.0,
+        "from rectflip.permutation import BAXTER, enumerate_avoiders; "
+        "assert len(enumerate_avoiders(10, BAXTER)) == 326240",
     ),
 )
 

@@ -44,14 +44,12 @@ from .permutation import (
     TWISTED_BAXTER,
     PatternClass,
     VincularPattern,
-    adjacent_position_swap,
     avoids_class,
     consecutive_value_swap,
     contains_vincular,
     enumerate_avoiders,
     format_permutation,
     inverse,
-    inversion_set,
     parse_permutation,
 )
 from .rectangulation import (

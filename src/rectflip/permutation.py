@@ -8,10 +8,20 @@ adjacent positions in the host permutation.  An occurrence inside a
 prefix is an occurrence in the whole word, so every standardised prefix
 of an avoider is an avoider, and avoiders are grown one appended letter
 at a time, checking only the occurrences that end at the new letter.
+
+Every pattern of the five classes has the form a-bc-d or a-b-c-d with
+{b, c} = {1, 4}.  For such a pattern the letters that complete an
+occurrence when appended to a word fill a union of open value
+intervals, one per earlier letter, which ``_completing`` reads off the
+word.  Enumeration reads them once per prefix and builds only the
+children that avoid; matching at a given end asks whether the end
+letter lies in an interval of the letters before it.  Any other pattern
+is matched by backtracking.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 Word = tuple[int, ...]
@@ -39,22 +49,6 @@ def inverse(word: Word) -> Word:
     return tuple(out)
 
 
-def inversion_set(word: Word) -> frozenset[tuple[int, int]]:
-    """Value pairs (a, b) with a < b such that b appears before a.
-
-    >>> sorted(inversion_set((3, 1, 2)))
-    [(1, 3), (2, 3)]
-    """
-    pos = inverse(word)
-    n = len(word)
-    return frozenset(
-        (a, b)
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
-        if pos[b - 1] < pos[a - 1]
-    )
-
-
 def consecutive_value_swap(word: Word, k: int) -> Word:
     """Exchange the values k and k+1, leaving all positions fixed.
 
@@ -65,15 +59,6 @@ def consecutive_value_swap(word: Word, k: int) -> Word:
         raise ValueError(f"k must be in 1..{len(word) - 1}, got {k}")
     swap = {k: k + 1, k + 1: k}
     return tuple(swap.get(v, v) for v in word)
-
-
-def adjacent_position_swap(word: Word, j: int) -> Word:
-    """Exchange the entries at positions j and j+1 (1-based)."""
-    if not 1 <= j < len(word):
-        raise ValueError(f"j must be in 1..{len(word) - 1}, got {j}")
-    out = list(word)
-    out[j - 1], out[j] = out[j], out[j - 1]
-    return tuple(out)
 
 
 def parse_permutation(text: str) -> Word:
@@ -169,53 +154,78 @@ CLASSES_BY_NAME = {
 }
 
 
-def _ends_at(word: Word, end: int, pattern: VincularPattern) -> bool:
+def _in_block_family(pattern: VincularPattern) -> bool:
+    # a-bc-d or a-b-c-d with {b, c} = {1, 4}: every pattern of the five
+    # classes, and 2-1-4-3 and 3-4-1-2.
+    pat = pattern.word
+    return len(pat) == 4 and pattern.glued <= {2} and {pat[1], pat[2]} == {1, 4}
+
+
+def _completing(word: Sequence[int], pattern: VincularPattern) -> list[tuple[int, int]]:
+    """Open value intervals (lo, hi) such that a letter appended to word
+    completes an occurrence of the pattern iff it lies inside one of them.
+
+    Only for the block family (``_in_block_family``).  With every value
+    negated when the first pattern letter lies above the last, the letter
+    completes one iff word[i] < letter < H for some i, where H is the
+    largest high letter of a block after i whose low letter lies below
+    word[i].  ``notes/decisions.md`` derives H for each block shape.
+
+    >>> _completing((2, 1, 3), VincularPattern.from_dashed("2-14-3"))
+    [(2, 3)]
+    """
+    pat = pattern.word
+    rising, negate = pat[1] < pat[2], pat[0] > pat[3]
+    if negate:
+        word = [-u for u in word]
+        rising = not rising
+    p = len(word)
+    highs = []
+    if 2 in pattern.glued:
+        # Blocks are adjacent pairs (j, j + 1).
+        for i in range(p - 2):
+            a = h = word[i]
+            if rising:
+                for j in range(i + 1, p - 1):
+                    if word[j] < a and word[j + 1] > h:
+                        h = word[j + 1]
+            else:
+                for j in range(i + 1, p - 1):
+                    if word[j + 1] < a and word[j] > h:
+                        h = word[j]
+            highs.append(h)
+    elif rising:
+        # The first low letter after i leaves the most high letters after it.
+        for i in range(p - 2):
+            a = h = word[i]
+            for j in range(i + 1, p - 1):
+                if word[j] < a:
+                    h = max(word[j + 1 :])
+                    break
+            highs.append(h)
+    else:
+        # The last low letter after i leaves the most high letters before it.
+        for i in range(p - 2):
+            a = h = word[i]
+            for j in range(p - 1, i + 1, -1):
+                if word[j] < a:
+                    h = max(word[i + 1 : j])
+                    break
+            highs.append(h)
+    if negate:
+        return [(-h, -a) for a, h in zip(word, highs) if h > a]
+    return [(a, h) for a, h in zip(word, highs) if h > a]
+
+
+def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
     """True when some occurrence of the pattern has its last letter at word[end]."""
     pat, glued = pattern.word, pattern.glued
     k = len(pat)
     if end < k - 1:
         return False
     last, q_last = word[end], pat[-1]
-    if k == 4 and glued <= {2} and {pat[1], pat[2]} == {1, 4}:
-        # The length-4 patterns used throughout this package.  The middle
-        # block holds the smallest and largest letters, and the first
-        # letter lies between the last letter and the block letter on its
-        # side.  After negating every value when needed, that side is
-        # below: first is the largest value below the last letter so far.
-        # A glued block ends right after it starts, so there armed lasts
-        # one entry; unset is below every value.
-        rising, adjacent = pat[1] < pat[2], 2 in glued
-        if pat[0] > q_last:
-            word, last, rising = [-u for u in word], -last, not rising
-        unset = -len(word) - 1
-        first = armed = unset
-        if rising:
-            # A block starts below the last letter, so first is checked
-            # at the start; armed marks a start that passed.
-            for v in word[:end]:
-                if v > last:
-                    if armed != unset:
-                        return True
-                elif v < first:
-                    armed = first
-                else:
-                    first = v
-                    if adjacent:
-                        armed = unset
-            return False
-        # A block ends below the last letter; armed carries first from the
-        # latest start, which only grows, to be checked at the end.
-        for v in word[:end]:
-            if v > last:
-                armed = first
-            elif v < armed:
-                return True
-            else:
-                if adjacent:
-                    armed = unset
-                if first < v:
-                    first = v
-        return False
+    if _in_block_family(pattern):
+        return any(lo < last < hi for lo, hi in _completing(word[:end], pattern))
 
     # Backtrack over the first k - 1 letters, all left of end, comparing
     # each candidate with the fixed last letter as well.
@@ -252,19 +262,39 @@ def avoids_class(word: Word, pclass: PatternClass) -> bool:
 def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
     """All avoiders of the class in lexicographic order.
 
-    Level k grows from level k - 1 by raising every entry >= v and
-    appending v, for each v in 1..k.  Every standardised prefix of an
-    avoider is an avoider, so this misses none, and a prefix holds no
-    occurrence, so only occurrences ending at v need checking.
+    Level k grows from level k - 1: the child of a prefix at slot v in
+    1..k raises every entry >= v and appends v.  Every standardised
+    prefix of an avoider is an avoider, so this misses none, and a
+    prefix holds no occurrence, so only occurrences ending at v count.
+    For each pattern of the block family, ``_completing`` gives once per
+    prefix the intervals (lo, hi) of letters that complete one; slot v
+    is forbidden when lo < v - 1/2 < hi, and only the free slots get a
+    child.  Any other pattern is checked on each child with the
+    backtracker of ``_ends_at``.  Words are bytes, which sort as tuples
+    do, until the sorted last level is turned into tuples.
     """
-    level: list[Word] = [()]
+    family = [p for p in pclass.patterns if _in_block_family(p)]
+    others = [p for p in pclass.patterns if not _in_block_family(p)]
+    # raise_from[v] maps each value u >= v to u + 1.
+    raise_from = [bytes(min(u + (u >= v), 255) for u in range(256)) for v in range(n + 1)]
+    level = [b""]
     for k in range(1, n + 1):
-        level = [
-            word
-            for prefix in level
-            for v in range(1, k + 1)
-            for word in (tuple(u + (u >= v) for u in prefix) + (v,),)
-            if not any(_ends_at(word, k - 1, p) for p in pclass.patterns)
-        ]
+        grown = []
+        for prefix in level:
+            forbidden = 0  # bit v set when slot v completes an occurrence
+            for pattern in family:
+                for lo, hi in _completing(prefix, pattern):
+                    forbidden |= (1 << hi + 1) - (1 << lo + 1)
+            grown += [
+                prefix.translate(raise_from[v]) + bytes((v,))
+                for v in range(1, k + 1)
+                if not forbidden >> v & 1
+            ]
+        if others:
+            grown = [w for w in grown if not any(_ends_at(w, k - 1, p) for p in others)]
+        level = grown
     level.sort()
+    # In place, so the bytes and the tuples are never all held at once.
+    for i, word in enumerate(level):
+        level[i] = tuple(word)
     return level

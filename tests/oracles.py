@@ -16,15 +16,15 @@ Word = tuple[int, ...]
 
 
 def _is_occurrence(word: Word, positions, pattern: Word, glued: frozenset[int]) -> bool:
-    k = len(pattern)
-    if any(positions[i] + 1 != positions[i + 1] for i in range(k - 1) if (i + 1) in glued):
-        return False
+    # Glued gap g joins pattern positions g and g + 1 (1-based).
+    for g in glued:
+        if positions[g - 1] + 1 != positions[g]:
+            return False
+    # Standardised to 1..k, the values must spell the pattern: the value
+    # under pattern letter q is the q-th smallest.
     values = [word[p] for p in positions]
-    return all(
-        (values[i] < values[j]) == (pattern[i] < pattern[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
+    ranked = sorted(values)
+    return all(ranked[q - 1] == v for q, v in zip(pattern, values))
 
 
 def brute_contains(word: Word, pattern: Word, glued: frozenset[int]) -> bool:
@@ -280,6 +280,15 @@ def inversion_pairs(word: Word) -> frozenset[tuple[int, int]]:
     return frozenset(
         (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if pos[b] < pos[a]
     )
+
+
+def adjacent_position_swap(word: Word, j: int) -> Word:
+    """Exchange the entries at positions j and j+1 (1-based)."""
+    if not 1 <= j < len(word):
+        raise ValueError(f"j must be in 1..{len(word) - 1}, got {j}")
+    out = list(word)
+    out[j - 1], out[j] = out[j], out[j - 1]
+    return tuple(out)
 
 
 def brute_weak_leq(lo: Word, hi: Word) -> bool:

@@ -9,6 +9,7 @@ from rectflip.bijection import baxter_of
 from rectflip.flipgraph import (
     FlipGraph,
     VerificationReport,
+    _sorted_pair,
     build,
     compare_edge_sets,
     graph_json,
@@ -254,3 +255,40 @@ def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
     monkeypatch.setattr(flipgraph, "_run_boxes", shifted)
     with pytest.raises(RuntimeError, match="rho draws 2413 off its run boxes"):
         list(flipgraph._fibers(4))
+
+
+def test_value_swaps_over_all_words_join_pairs_that_are_not_flips():
+    # Project every consecutive-value swap in S_n onto the fibers of rho,
+    # each fiber named by its Baxter member.  Every Barcelona pair is
+    # among the swap pairs, but so is a rest that holds no flip at all:
+    # theorem_main holds only for the swaps between Baxter members.
+    found = {}
+    for n in range(2, 7):
+        fg = build(n)
+        nodes = set(fg.nodes)
+        node_of = {}
+        for _, members in flipgraph._fibers(n):
+            (node,) = nodes.intersection(members)
+            node_of.update(dict.fromkeys(members, node))
+        swaps = {
+            _sorted_pair(node_of[w], node_of[consecutive_value_swap(w, k)])
+            for w in node_of
+            for k in range(1, n)
+        }
+        swaps = {(a, b) for a, b in swaps if a != b}
+        barcelona = fg.pairs_tagged({FlipKind.SIMPLE, FlipKind.ROTATION_BARCELONA})
+        assert barcelona <= swaps
+        assert not (swaps - barcelona) & fg.edges.keys()
+        found[n] = (len(swaps), len(barcelona), len(swaps - barcelona))
+        if n == 4:
+            # The smallest witness: 1423 -> 2413 joins 1423 to the fiber
+            # of 2143, and those two drawings are not one flip apart.
+            assert node_of[(2, 4, 1, 3)] == (2, 1, 4, 3)
+            assert min(swaps - barcelona) == ((1, 4, 2, 3), (2, 1, 4, 3))
+    assert found == {
+        2: (1, 1, 0),
+        3: (6, 6, 0),
+        4: (35, 30, 5),
+        5: (204, 156, 48),
+        6: (1212, 848, 364),
+    }

@@ -18,10 +18,15 @@ from rectflip.order import (
     pair_bitsets,
     weak_leq,
 )
-from rectflip.permutation import adjacent_position_swap, inversion_set
 from rectflip.rectangulation import rho
 
-from oracles import brute_covers, brute_weak_leq, inversion_pairs, pairwise_covers
+from oracles import (
+    adjacent_position_swap,
+    brute_covers,
+    brute_weak_leq,
+    inversion_pairs,
+    pairwise_covers,
+)
 
 
 def all_words(n):
@@ -41,7 +46,7 @@ def test_inversion_mask_counts_and_extremes():
         assert inversion_mask(tuple(range(1, n + 1))) == 0
         top = inversion_mask(tuple(range(n, 0, -1)))
         assert top.bit_count() == n * (n - 1) // 2
-    assert inversion_mask((2, 4, 1, 3)).bit_count() == len(inversion_set((2, 4, 1, 3)))
+    assert inversion_mask((2, 4, 1, 3)).bit_count() == len(inversion_pairs((2, 4, 1, 3)))
 
 
 @given(word_pairs)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -13,8 +14,8 @@ from rectflip.permutation import (
     TWISTED_BAXTER,
     PatternClass,
     VincularPattern,
+    _completing,
     _ends_at,
-    adjacent_position_swap,
     avoids_class,
     check_word,
     consecutive_value_swap,
@@ -22,11 +23,10 @@ from rectflip.permutation import (
     enumerate_avoiders,
     format_permutation,
     inverse,
-    inversion_set,
     parse_permutation,
 )
 
-from oracles import brute_contains, brute_ends_at, filter_avoiders
+from oracles import adjacent_position_swap, brute_contains, brute_ends_at, filter_avoiders
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -127,7 +127,7 @@ def test_matcher_agrees_with_brute_force_exhaustively():
 
 
 def test_end_anchored_matcher_agrees_with_brute_force_exhaustively():
-    # 2-1-4-3 and 3-4-1-2 take the unglued block scan with the separable
+    # 2-1-4-3 and 3-4-1-2 take the interval rule with the separable
     # patterns; 21-4-3 and 3-4-12 are glued elsewhere and backtrack.
     extra = [
         VincularPattern.from_dashed(d)
@@ -149,17 +149,67 @@ def test_matcher_agrees_with_brute_force(host, pattern):
     )
 
 
+# The eight patterns a-bc-d and a-b-c-d with {b, c} = {1, 4}.
+BLOCK_FAMILY = tuple(
+    VincularPattern.from_dashed(d)
+    for d in (
+        "3-14-2", "2-41-3", "3-41-2", "2-14-3",
+        "3-1-4-2", "2-4-1-3", "2-1-4-3", "3-4-1-2",
+    )
+)
+
+# Each class at n = 9: the count, and the SHA-256 of its words' bytes
+# joined in order, as enumeration returned them before the interval rule.
+AVOIDERS_9 = {
+    "baxter": (
+        58202, "7baa780abd52117796d2d11200dee0afb77055929ec26b39f8b03289e9dbd080"
+    ),
+    "twisted_baxter": (
+        58202, "f257f09200dfbf65dfc05fe9ce07624e50705ad37b05e412cf0e8b9ef3bbaca4"
+    ),
+    "rightmost_class": (
+        58202, "353b2011a703ac6ac5c4c22d583c03754174acfbab60647d82316fad5893c875"
+    ),
+    "s_class": (
+        37182, "129b9d8d192cae339d0fcba5947cd05997a78154900e45926991db24eb01f6bf"
+    ),
+    "separable": (
+        41586, "c99508c4f2471d1c9547fd2d72dfb4b9471a451442867444493d02c1b7b77ee6"
+    ),
+}
+
+
+def test_completing_intervals_forbid_exactly_the_completing_slots():
+    # Every word with n <= 7 is a prefix of size n - 1 grown at one slot,
+    # so this covers every end letter of every such word.
+    for p in range(7):
+        for prefix in itertools.permutations(range(1, p + 1)):
+            intervals = [_completing(prefix, pattern) for pattern in BLOCK_FAMILY]
+            for v in range(1, p + 2):
+                child = tuple(u + (u >= v) for u in prefix) + (v,)
+                for pattern, found in zip(BLOCK_FAMILY, intervals):
+                    forbidden = any(lo < v - 0.5 < hi for lo, hi in found)
+                    assert forbidden == brute_ends_at(
+                        child, p, pattern.word, pattern.glued
+                    ), (prefix, v, str(pattern))
+
+
 def test_avoider_counts():
-    # n = 9 is past the reach of the filter oracle below (OEIS A001181).
-    assert [len(enumerate_avoiders(n, BAXTER)) for n in range(1, 10)] == [
-        1, 2, 6, 22, 92, 422, 2074, 10754, 58202,
+    # n = 9 is past the reach of the filter oracle below.  Baxter numbers
+    # are OEIS A001181, separable ones the large Schroeder numbers A006318.
+    assert [len(enumerate_avoiders(n, BAXTER)) for n in range(1, 9)] == [
+        1, 2, 6, 22, 92, 422, 2074, 10754,
     ]
-    assert [len(enumerate_avoiders(n, SEPARABLE)) for n in range(1, 8)] == [
-        1, 2, 6, 22, 90, 394, 1806,
+    assert [len(enumerate_avoiders(n, SEPARABLE)) for n in range(1, 9)] == [
+        1, 2, 6, 22, 90, 394, 1806, 8558,
     ]
-    assert [len(enumerate_avoiders(n, S_CLASS)) for n in range(1, 8)] == [
-        1, 2, 6, 22, 88, 374, 1668,
+    assert [len(enumerate_avoiders(n, S_CLASS)) for n in range(1, 9)] == [
+        1, 2, 6, 22, 88, 374, 1668, 7744,
     ]
+    for name, (count, digest) in AVOIDERS_9.items():
+        words = enumerate_avoiders(9, CLASSES_BY_NAME[name])
+        assert len(words) == count, name
+        assert hashlib.sha256(b"".join(map(bytes, words))).hexdigest() == digest, name
 
 
 def test_three_classes_are_equinumerous():
@@ -204,11 +254,6 @@ def test_inverse_properties(word):
     assert inverse(inv) == word
     for i, v in enumerate(word):
         assert inv[v - 1] == i + 1
-
-
-def test_inversion_set_small():
-    assert sorted(inversion_set((3, 1, 2))) == [(1, 3), (2, 3)]
-    assert inversion_set((1, 2, 3)) == frozenset()
 
 
 @given(words(2, 7), st.data())
