@@ -1,10 +1,9 @@
-"""Pass only when no test failed and none was skipped.
+"""Pass only when no test failed, errored or was skipped.
 
 Reads the JUnit XML that ``pytest --junitxml`` writes and exits 0 when
-no test failed, errored or was skipped.  It exits 1 otherwise, naming
-each offending test.  ``EXPECTED_FAILURES`` is empty: every test must
-pass (notes/decisions.md records why criteria 02 and 10 were corrected
-rather than allowed to fail).
+every test passed.  It exits 1 otherwise, naming each offending test.
+Every test must pass (notes/decisions.md records why criteria 02 and
+10 were corrected rather than allowed to fail).
 
     python3 ci/check_expected_failures.py junit.xml
 """
@@ -13,8 +12,6 @@ from __future__ import annotations
 
 import sys
 import xml.etree.ElementTree as ET
-
-EXPECTED_FAILURES: set[str] = set()
 
 
 def main(path: str) -> int:
@@ -26,9 +23,7 @@ def main(path: str) -> int:
             failed.add(name)
         if case.find("skipped") is not None:
             skipped.add(name)
-    problems = [f"unexpected failure: {n}" for n in failed - EXPECTED_FAILURES]
-    problems += [f"passed, meant to fail: {n}" for n in EXPECTED_FAILURES - failed]
-    problems += [f"skipped: {n}" for n in skipped]
+    problems = [f"failed: {n}" for n in failed] + [f"skipped: {n}" for n in skipped]
     print(f"{total} tests, {len(failed)} failed, {len(skipped)} skipped")
     for line in sorted(problems):
         print(line)

@@ -2,7 +2,6 @@
 
 from .bijection import (
     Fiber,
-    antidiagonal_reading,
     baxter_of,
     block_delete_bottom_left,
     block_deletion_word,

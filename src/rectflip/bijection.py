@@ -2,15 +2,18 @@
 
 Many permutations draw the same grid.  The fiber of a drawing is the
 set of all of them: the orders in which its rectangles can be laid
-down one by one against a rising staircase, computed by undoing those
-insertions in every possible order.  Each fiber holds exactly one
-permutation from each of the named pattern classes, and
-``unique_class_member`` finds it by filtering the fiber.  The three distinguished members are also read
+down one by one against a rising staircase.  Undoing those insertions
+peels rectangles off the top of the drawing, and one relation,
+:func:`rectflip.rectangulation.peel_predecessors`, says which must go
+before each; the fiber is every peeling order it allows, read
+backwards.  Each fiber holds exactly one permutation from each of the
+named pattern classes, and ``unique_class_member`` finds it by
+filtering the fiber.  The three distinguished members are also read
 off the drawing directly, without the fiber: ``baxter_of`` by
 bottom-left block deletion, which keys everything downstream (flip
 graphs, the lattice, exports), and the twisted-Baxter and rightmost
-members by peeling the grid's rectangles off from the top
-(:func:`rectflip.rectangulation.extraction_word`).
+members by peeling the grid's rectangles off from the top along the
+same relation (:func:`rectflip.rectangulation.extraction_word`).
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from .permutation import PatternClass, Word, avoids_class, inverse
 from .rectangulation import (
     GridRectangulation,
     Matrix,
-    _removable,
     block_delete_bottom_left,  # re-exported
     block_deletion_word,
     extraction_word,
+    peel_predecessors,
     rho_prime,
 )
 
@@ -46,40 +49,32 @@ class Fiber:
 def fiber(grid: GridRectangulation) -> Fiber:
     """All insertion orders drawing this grid.
 
-    Depth-first search over every backward-removal choice; suffixes are
-    shared by memoizing on the staircase state, which determines the set
-    of rectangles still in place.
+    They are the peeling orders of :func:`peel_predecessors`, read
+    backwards.  The orders in which the rectangles still drawn can be
+    laid down depend only on which rectangles those are, so they are
+    memoized on that set as a bit mask and shared between branches.
     """
     n = grid.n
     if n > FIBER_CAP:
         raise ValueError(f"fiber enumeration is exponential; capped at n = {FIBER_CAP}")
-    boxes = grid.rects
-    done = (n,) * n
-    memo: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    preds = peel_predecessors(grid)
+    memo: dict[int, list[Word]] = {0: [()]}
 
-    def removal_suffixes(heights: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        if heights == done:
-            return ((),)
-        cached = memo.get(heights)
-        if cached is not None:
-            return cached
-        sequences = []
-        choices = [lab for lab, box in boxes.items() if _removable(box, heights, n)]
-        assert choices
-        for lab in choices:
-            box = boxes[lab]
-            lowered = list(heights)
-            for c in range(box.left, box.right + 1):
-                lowered[c] = box.bottom + 1
-            for tail in removal_suffixes(tuple(lowered)):
-                sequences.append((lab,) + tail)
-        memo[heights] = tuple(sequences)
-        return memo[heights]
+    def drawing_orders(drawn: int) -> list[Word]:
+        # Orders of the labels in the mask drawn; the last one drawn is
+        # the first one peeled, so it is one with no predecessor in drawn.
+        orders = memo.get(drawn)
+        if orders is None:
+            orders = []
+            for i in range(n):
+                bit = 1 << i
+                if drawn & bit and not preds[i] & drawn:
+                    last = (i + 1,)
+                    orders += [w + last for w in drawing_orders(drawn ^ bit)]
+            memo[drawn] = orders
+        return orders
 
-    members = frozenset(
-        tuple(reversed(seq)) for seq in removal_suffixes((0,) * n)
-    )
-    return Fiber(grid, members)
+    return Fiber(grid, frozenset(drawing_orders((1 << n) - 1)))
 
 
 def unique_class_member(grid: GridRectangulation, pclass: PatternClass) -> Word:
@@ -122,9 +117,3 @@ def slash_representative(grid: GridRectangulation) -> Matrix:
     here.
     """
     return rho_prime(inverse(baxter_of(grid)))
-
-
-def antidiagonal_reading(matrix: Matrix) -> tuple[int, ...]:
-    """Cell labels along the anti-diagonal, bottom-left to top-right."""
-    n = len(matrix)
-    return tuple(matrix[n - 1 - i][i] for i in range(n))

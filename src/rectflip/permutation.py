@@ -15,7 +15,8 @@ occurrence when appended to a word fill a union of open value
 intervals, one per earlier letter, which ``_completing`` reads off the
 word.  Enumeration reads them once per prefix and builds only the
 children that avoid; matching at a given end asks whether the end
-letter lies in an interval of the letters before it.  Any other pattern
+letter lies in an interval of the letters before it, and matching a
+whole word keeps every interval as the word grows.  Any other pattern
 is matched by backtracking.
 """
 
@@ -249,8 +250,66 @@ def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
     return extend([], -1)
 
 
+def _contains_block(word: Sequence[int], pattern: VincularPattern) -> bool:
+    # contains_vincular for the block family, in one pass.  H is kept for
+    # every start i as the word grows by one letter x, negated as in
+    # _completing, and x is first tested against every (word[i], H).
+    # aux[i] is whether a low letter has come after i (unglued rising),
+    # or the largest of word[i] and the letters after it (unglued
+    # falling).  Enumeration keeps _completing, which computes each H
+    # from the whole prefix: it is faster once per prefix.
+    pat = pattern.word
+    rising, negate = pat[1] < pat[2], pat[0] > pat[3]
+    if negate:
+        word = [-u for u in word]
+        rising = not rising
+    glued = 2 in pattern.glued
+    lows: list[int] = []
+    highs: list[int] = []
+    aux: list = []
+    prev = 0
+    for x in word:
+        for a, h in zip(lows, highs):
+            if a < x < h:
+                return True
+        if glued:
+            # The block (prev, x) can serve every earlier start.
+            low, high = (prev, x) if rising else (x, prev)
+            for i, a in enumerate(lows):
+                if low < a and high > highs[i]:
+                    highs[i] = high
+        elif rising:
+            # Every letter after the first low letter can be the high one.
+            for i, armed in enumerate(aux):
+                if armed:
+                    if x > highs[i]:
+                        highs[i] = x
+                elif x < lows[i]:
+                    aux[i] = True
+        else:
+            # A low letter takes the largest letter before it as the high.
+            for i, a in enumerate(lows):
+                if x < a:
+                    highs[i] = aux[i]
+                if x > aux[i]:
+                    aux[i] = x
+        lows.append(x)
+        highs.append(x)
+        aux.append(False if rising else x)
+        prev = x
+    return False
+
+
 def contains_vincular(word: Word, pattern: VincularPattern) -> bool:
-    """True when word contains an occurrence of the vincular pattern."""
+    """True when word contains an occurrence of the vincular pattern.
+
+    A block-family pattern is matched in one pass that keeps the
+    completing interval of every letter as the word grows, so one word
+    costs time quadratic in its length; any other pattern is asked of
+    each end in turn.
+    """
+    if _in_block_family(pattern):
+        return _contains_block(word, pattern)
     ends = range(len(pattern.word) - 1, len(word))
     return any(_ends_at(word, end, pattern) for end in ends)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .permutation import Word, check_word
 
@@ -424,49 +424,66 @@ def rho_prime(word: Word) -> Matrix:
     return matrix
 
 
-def _removable(box: Rect, heights: Sequence[int], ncols: int) -> bool:
-    # A rectangle peels off the top staircase when the staircase lies
-    # exactly on its top edge and does not re-descend at its right side.
-    # One already peeled off fails: the staircase has moved below its top.
-    if any(heights[c] != box.top for c in range(box.left, box.right + 1)):
-        return False
-    return box.right == ncols - 1 or heights[box.right + 1] >= box.bottom + 1
+def peel_predecessors(grid: GridRectangulation) -> list[int]:
+    """The rectangles that must be peeled off before each one, as bit masks.
+
+    Entry i is the mask of label i + 1, with bit j set for label j + 1.
+    Rectangles are peeled off the drawing from the top down, and a
+    rectangle may go once the rectangles just above its top side and the
+    one holding the cell right of its bottom-right cell are gone.  Every
+    order that respects these masks peels the whole drawing, and read
+    backwards it is an insertion order that draws the grid.
+
+    >>> peel_predecessors(rho((3, 1, 2)))
+    [2, 0, 3]
+    """
+    matrix, rects = grid.matrix, grid.rects
+    n = len(matrix)
+    masks = []
+    for top, left, bottom, right in (rects[lab] for lab in range(1, n + 1)):
+        mask = 0
+        if top:
+            for above in matrix[top - 1][left : right + 1]:
+                mask |= 1 << above - 1
+        if right + 1 < n:
+            mask |= 1 << matrix[bottom][right + 1] - 1
+        masks.append(mask)
+    return masks
 
 
 def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
-    """Undraw rectangles from the top staircase; return them in drawing order.
+    """Peel rectangles off the top of the drawing; return them in drawing order.
 
-    Rectangles are peeled off ``grid.rects`` from the top down, as the
-    reverse of drawing them one by one against a rising staircase, so
-    the result is a member of the fiber of the grid.  ``rule`` names the
-    forward drawing order it realizes: "leftmost" draws the rectangle
-    nearest the start of the diagonal first whenever there is a choice,
-    "rightmost" the furthest.  Undrawing runs backwards, so the
-    preference flips: the leftmost drawing order is produced by always
-    undrawing the rightmost removable rectangle, and vice versa.  At
-    each step the removable rectangles occupy pairwise disjoint column
-    ranges, so positional and label order agree.
+    Rectangles are peeled off ``grid.rects`` from the top down, each once
+    its :func:`peel_predecessors` are gone, as the reverse of drawing
+    them one by one against a rising staircase, so the result is a
+    member of the fiber of the grid.  ``rule`` names the forward drawing
+    order it realizes: "leftmost" draws the rectangle nearest the start
+    of the diagonal first whenever there is a choice, "rightmost" the
+    furthest.  Peeling runs backwards, so the preference flips: the
+    leftmost drawing order is produced by always peeling the rightmost
+    free rectangle, and vice versa.  The free rectangles occupy pairwise
+    disjoint column ranges, each holding its own diagonal cell, so label
+    order is positional order.
     """
     if rule not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown extraction rule: {rule}")
-    n = grid.n
-    heights = [0] * n
-    removed = []
-    remaining = dict(grid.rects)
-    while remaining:
-        candidates = [
-            (box.left, lab)
-            for lab, box in remaining.items()
-            if _removable(box, heights, n)
-        ]
-        assert candidates
-        _, lab = max(candidates) if rule == "leftmost" else min(candidates)
-        box = remaining.pop(lab)
-        for c in range(box.left, box.right + 1):
-            heights[c] = box.bottom + 1
-        removed.append(lab)
-    assert heights == [n] * n
-    return tuple(reversed(removed))
+    preds = peel_predecessors(grid)
+    n = len(preds)
+    # Each step peels the first free label of this preference order.
+    pending = list(range(n - 1, -1, -1) if rule == "leftmost" else range(n))
+    drawn = (1 << n) - 1  # bit i set while label i + 1 is still drawn
+    peeled = []
+    while pending:
+        for k, i in enumerate(pending):
+            if not preds[i] & drawn:
+                break
+        else:
+            raise AssertionError("no rectangle is free to peel")
+        del pending[k]
+        drawn ^= 1 << i
+        peeled.append(i + 1)
+    return tuple(reversed(peeled))
 
 
 def _delete_bottom_left(work: list[list[int]]) -> int:
@@ -568,10 +585,6 @@ def _canonical_word(matrix: Matrix) -> tuple[Word, dict[int, int]]:
 def reflect_rows(matrix: Matrix) -> Matrix:
     """Mirror the drawing across its horizontal midline."""
     return freeze_matrix(reversed(matrix))
-
-
-def relabel(matrix: Matrix, mapping: dict[int, int]) -> Matrix:
-    return freeze_matrix(tuple(mapping[v] for v in row) for row in matrix)
 
 
 @dataclass(frozen=True)

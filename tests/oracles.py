@@ -129,6 +129,77 @@ def staircase_rho(word: Word) -> tuple:
     return tuple(map(tuple, grid))
 
 
+def _removable(box, heights, ncols: int) -> bool:
+    # A rectangle peels off the top staircase when the staircase lies
+    # exactly on its top edge and does not re-descend at its right side.
+    # One already peeled off fails: the staircase has moved below its top.
+    if any(heights[c] != box.top for c in range(box.left, box.right + 1)):
+        return False
+    return box.right == ncols - 1 or heights[box.right + 1] >= box.bottom + 1
+
+
+def _lowered(heights: tuple, box) -> tuple:
+    out = list(heights)
+    for c in range(box.left, box.right + 1):
+        out[c] = box.bottom + 1
+    return tuple(out)
+
+
+def staircase_extraction_word(grid, rule: str = "leftmost") -> Word:
+    """Undraw rectangles from a staircase of column heights, rescanning
+    every remaining box with _removable at each step.  For the
+    "leftmost" rule the removable one with the largest (left, label) is
+    undrawn, for "rightmost" the smallest; returns them in drawing order."""
+    n = grid.n
+    heights = (0,) * n
+    removed = []
+    remaining = dict(grid.rects)
+    while remaining:
+        candidates = [
+            (box.left, lab)
+            for lab, box in remaining.items()
+            if _removable(box, heights, n)
+        ]
+        assert candidates
+        _, lab = max(candidates) if rule == "leftmost" else min(candidates)
+        heights = _lowered(heights, remaining.pop(lab))
+        removed.append(lab)
+    assert heights == (n,) * n
+    return tuple(reversed(removed))
+
+
+def staircase_fiber(grid) -> frozenset[Word]:
+    """Every drawing order of the grid, by depth-first search over every
+    _removable choice against a staircase of column heights, memoized on
+    the heights."""
+    n = grid.n
+    memo: dict[tuple, tuple] = {}
+
+    def removal_suffixes(heights: tuple) -> tuple:
+        if heights == (n,) * n:
+            return ((),)
+        if heights not in memo:
+            memo[heights] = tuple(
+                (lab,) + tail
+                for lab, box in grid.rects.items()
+                if _removable(box, heights, n)
+                for tail in removal_suffixes(_lowered(heights, box))
+            )
+        return memo[heights]
+
+    return frozenset(tuple(reversed(seq)) for seq in removal_suffixes((0,) * n))
+
+
+def relabel(matrix, mapping: dict[int, int]) -> tuple:
+    return tuple(tuple(mapping[v] for v in row) for row in matrix)
+
+
+def antidiagonal_reading(matrix) -> tuple[int, ...]:
+    """Cell labels along the anti-diagonal, bottom-left to top-right."""
+    n = len(matrix)
+    return tuple(matrix[n - 1 - i][i] for i in range(n))
+
+
 def bst_parents(seq) -> dict[int, int | None]:
     """Parent of each value when seq is inserted, in order, into a plain
     binary search tree; the first value is the root."""
@@ -385,14 +456,14 @@ def slash_consistency_problems(grid) -> list[str]:
     that reflecting back and canonicalizing lands on the drawing of the
     inverse Baxter word without renaming any rectangle.
     """
-    from rectflip.rectangulation import canonicalize, reflect_rows, relabel
+    from rectflip.rectangulation import canonicalize, reflect_rows
 
     n = grid.n
     ident = tuple(range(1, n + 1))
     baxter = rf.baxter_of(grid)
     slash = rf.slash_representative(grid)
     problems = []
-    if rf.antidiagonal_reading(slash) != ident:
+    if antidiagonal_reading(slash) != ident:
         problems.append("antidiagonal reading")
     if rf.block_deletion_word(slash) != ident:
         problems.append("deletion order on the representative")

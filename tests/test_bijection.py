@@ -5,7 +5,6 @@ import pytest
 import rectflip as rf
 from rectflip.bijection import (
     FIBER_CAP,
-    antidiagonal_reading,
     baxter_of,
     block_delete_bottom_left,
     block_deletion_word,
@@ -18,7 +17,7 @@ from rectflip.bijection import (
 from rectflip.permutation import avoids_class, contains_vincular
 from rectflip.rectangulation import rho
 
-from oracles import slash_consistency_problems
+from oracles import antidiagonal_reading, slash_consistency_problems
 
 
 def test_fiber_of_the_two_cuts():

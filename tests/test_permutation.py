@@ -116,8 +116,11 @@ def test_class_registry():
 
 def test_matcher_agrees_with_brute_force_exhaustively():
     # Every host up to n=6 against every pattern used by the package,
-    # plus a fully glued one to exercise the chain constraint.
-    extra = [VincularPattern.from_dashed("231"), VincularPattern.from_dashed("21")]
+    # plus a fully glued one to exercise the chain constraint, and the
+    # two block-family patterns whose unglued block rises once negated.
+    extra = [
+        VincularPattern.from_dashed(d) for d in ("231", "21", "2-1-4-3", "3-4-1-2")
+    ]
     for n in range(1, 7):
         for host in itertools.permutations(range(1, n + 1)):
             for pattern in ALL_PATTERNS + extra:

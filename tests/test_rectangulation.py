@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rectflip as rf
+from rectflip.bijection import FIBER_CAP
 from rectflip.flips import _classify
 from rectflip.permutation import avoids_class
 from rectflip.rectangulation import (
@@ -17,7 +18,6 @@ from rectflip.rectangulation import (
     freeze_matrix,
     geometry,
     reflect_rows,
-    relabel,
     rho,
     rho_prime,
     twin_trees,
@@ -30,6 +30,9 @@ from oracles import (
     diagonal_tilings,
     find_edge_by_scan,
     minmax_bounding_boxes,
+    relabel,
+    staircase_extraction_word,
+    staircase_fiber,
     staircase_rho,
 )
 
@@ -448,3 +451,33 @@ def test_twin_trees_admit_exactly_the_fiber_sampled_n6():
         tt = twin_trees(grid)
         for candidate in itertools.chain(members, rng.sample(pool, 40)):
             assert tt.admits(candidate) == (candidate in members)
+
+
+def test_peeling_matches_the_staircase_oracles():
+    # One predecessor relation against column heights rescanned with
+    # _removable: both extraction rules and the whole fiber agree on
+    # every drawing with n <= 7.
+    checked = 0
+    for n in range(1, 8):
+        for word in rf.enumerate_avoiders(n, rf.BAXTER):
+            grid = rho(word)
+            for rule in ("leftmost", "rightmost"):
+                assert extraction_word(grid, rule) == staircase_extraction_word(grid, rule)
+            assert rf.fiber(grid).members == staircase_fiber(grid)
+            checked += 1
+    assert checked == 2619
+
+
+@given(words(1, 30))
+def test_extraction_matches_the_staircase_oracle_sampled(word):
+    grid = rho(word)
+    for rule in ("leftmost", "rightmost"):
+        assert extraction_word(grid, rule) == staircase_extraction_word(grid, rule)
+
+
+@given(words(1, FIBER_CAP))
+def test_fiber_matches_the_staircase_oracle_sampled(word):
+    grid = rho(word)
+    members = rf.fiber(grid).members
+    assert word in members
+    assert members == staircase_fiber(grid)
