@@ -1,5 +1,5 @@
-"""Fail when build(7), grouping S_8 or enumerating the Baxter
-permutations of size 10 needs more memory than its budget.
+"""Fail when build(7), grouping S_8, verify_inversion(8) or enumerating
+the Baxter permutations of size 10 needs more memory than its budget.
 
 Each check runs in a fresh child process, which prints its own peak
 resident set size when its work is done.  Exits 0 when every peak is at
@@ -13,10 +13,18 @@ each drawing keeps only its matrix and boxes and the 46-50 MB it took
 when every drawing also cached its wall geometry.
 
 _fibers(8) groups all 40,320 words of size 8 into the 10,754 fibers of
-rho.  Its budget, 26 MB, sits between the 19-23 MB it peaks at when the
-words are keyed by the bytes of their boxes, with one grid drawn per
+rho.  Its budget, 26 MB, sits between the 19-23 MB it peaked at when the
+words were keyed by the bytes of their boxes, with one grid drawn per
 fiber as the fibers are consumed, and the 29-33 MB it took when every
-word was drawn and keyed by its matrix.
+word was drawn and keyed by its matrix.  The walk that now also gives
+each word's inversion mask, keeping the words as bytes, peaks at
+23.2 MB, against 22.7 MB for the keying alone (Python 3.11.7).
+
+verify_inversion(8) checks that each of those 10,754 fibers is a
+weak-order interval.  Its budget, 32 MB, sits between the 28.2 MB it
+peaks at when it takes each word's inversion mask from that walk, and
+the 34.3 MB it took when every word's mask was computed on its own and
+held in a dict keyed by the word.
 
 enumerate_avoiders(10, BAXTER) lists all 326,240 Baxter permutations of
 size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when
@@ -25,7 +33,8 @@ in place, and the 74-78 MB it takes when the tuples are built as a
 second list while the bytes are still held.  Growing the levels as
 tuples took 62-66 MB.
 
-All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host.
+All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host,
+except those of verify_inversion(8), which are for Python 3.11.7 only.
 """
 
 from __future__ import annotations
@@ -44,6 +53,13 @@ CHECKS = (
         26.0,
         "from rectflip.flipgraph import _fibers; "
         "assert sum(1 for _ in _fibers(8)) == 10754",
+    ),
+    (
+        "verify_inversion(8)",
+        32.0,
+        "from rectflip.flipgraph import verify_inversion; "
+        "report = verify_inversion(8); "
+        "assert report.ok and report.checked == 10754",
     ),
     (
         "enumerate_avoiders(10, BAXTER)",

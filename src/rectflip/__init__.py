@@ -7,7 +7,6 @@ from .bijection import (
     block_deletion_word,
     fiber,
     rightmost_of,
-    slash_representative,
     twisted_baxter_of,
     unique_class_member,
 )
@@ -62,7 +61,6 @@ from .rectangulation import (
     diagonal_obstruction,
     reflect_rows,
     rho,
-    rho_prime,
     twin_trees,
 )
 

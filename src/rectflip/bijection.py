@@ -20,15 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permutation import PatternClass, Word, avoids_class, inverse
+from .permutation import PatternClass, Word, avoids_class
 from .rectangulation import (
     GridRectangulation,
-    Matrix,
     block_delete_bottom_left,  # re-exported
     block_deletion_word,
     extraction_word,
     peel_predecessors,
-    rho_prime,
 )
 
 FIBER_CAP = 10
@@ -107,13 +105,3 @@ def rightmost_of(grid: GridRectangulation) -> Word:
     """The rightmost drawing order, top of the fiber's weak-order interval."""
     return extraction_word(grid, "rightmost")
 
-
-def slash_representative(grid: GridRectangulation) -> Matrix:
-    """Redraw the rectangulation against the bottom-left-to-top-right diagonal.
-
-    Computed as rho_prime(inverse(baxter_of(grid))).  The result carries
-    its own anti-diagonal labelling: the rectangle at anti-diagonal
-    position m there corresponds to the rectangle baxter_of(grid)[m-1]
-    here.
-    """
-    return rho_prime(inverse(baxter_of(grid)))

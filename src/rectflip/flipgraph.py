@@ -11,15 +11,15 @@ tautology.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .bijection import baxter_of
 from .flips import FlipKind, _edge_recuts
-from .order import between, drec_covers, inversion_mask, pair_bitsets
+from .order import between, drec_covers, pair_bitsets
 from .permutation import (
     BAXTER,
     RIGHTMOST,
@@ -31,9 +31,8 @@ from .permutation import (
 )
 from .rectangulation import (
     GridRectangulation,
-    Rect,
     _canonical_word,
-    _run_boxes,
+    _run_box,
     extraction_word,
     rho,
 )
@@ -260,30 +259,71 @@ def verify_characterization(n: int) -> VerificationReport:
     )
 
 
-def _box_key(boxes: Iterable[Rect]) -> bytes:
-    # The coordinates of boxes given in label order, one byte each.
+def _grid_key(grid: GridRectangulation) -> bytes:
+    # The coordinates of the grid's boxes in label order, one byte each.
+    boxes = map(grid.rects.__getitem__, range(1, grid.n + 1))
     return bytes(itertools.chain.from_iterable(boxes))
 
 
-def _grid_key(grid: GridRectangulation) -> bytes:
-    return _box_key(map(grid.rects.__getitem__, range(1, grid.n + 1)))
+Groups = dict[bytes, tuple[list[bytes], list[int]]]
 
 
-def _fibers(n: int) -> Iterator[tuple[GridRectangulation, list[Word]]]:
-    # Every permutation of size n, grouped by the boxes rho draws for it.
+def _group(n: int) -> Groups:
+    # Every permutation of size n, as bytes, and its inversion mask,
+    # grouped by the boxes rho draws for it, in lexicographic order.  The
+    # walk extends a prefix by one unplaced value at a time.  The values
+    # placed after that value are exactly the unplaced ones, so its box
+    # is fixed then and is written into the prefix's key; its inversions
+    # are its pairs with the smaller unplaced values, one shifted run of
+    # bits.
+    groups: Groups = {}
+    key = bytearray(4 * n)
+    word = bytearray(n)
+    full = (1 << n) - 1
+    pair_base = [d * (d - 1) // 2 for d in range(n)]
+
+    def place(k: int, placed: int, mask: int) -> None:
+        unplaced = free = full ^ placed
+        while free:
+            bit = free & -free
+            free ^= bit
+            d = bit.bit_length() - 1
+            key[4 * d : 4 * d + 4] = _run_box(d, placed, n)
+            word[k] = d + 1
+            grown = mask | (unplaced & bit - 1) << pair_base[d]
+            if k + 1 < n:
+                place(k + 1, placed | bit, grown)
+                continue
+            group = groups.get(bytes(key))
+            if group is None:
+                group = groups[bytes(key)] = ([], [])
+            group[0].append(bytes(word))
+            group[1].append(grown)
+
+    place(0, 0, 0)
+    return groups
+
+
+def _fibers(n: int) -> Iterator[tuple[GridRectangulation, list[Word], list[int]]]:
+    # The fibers of rho on S_n, each with its members' inversion masks,
+    # in order of first member.
+    yield from _drawn(_group(n))
+
+
+def _drawn(
+    groups: Groups,
+) -> Iterator[tuple[GridRectangulation, list[Word], list[int]]]:
     # Each fiber's grid is drawn once, from its first member, and must
-    # validate to exactly the boxes it was grouped by, so the groups are
-    # the fibers of rho.  Grids are made as the fibers are consumed.
-    groups: dict[bytes, list[Word]] = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        groups.setdefault(_box_key(_run_boxes(w)), []).append(w)
-    for key, members in groups.items():
+    # have exactly the boxes it was grouped by.  Grids and member tuples
+    # are made as the fibers are consumed.
+    for key, (members, masks) in groups.items():
+        members = list(map(tuple, members))
         grid = rho(members[0])
         if _grid_key(grid) != key:
             raise RuntimeError(
                 f"rho draws {format_permutation(members[0])} off its run boxes"
             )
-        yield grid, members
+        yield grid, members, masks
 
 
 def verify_counts(n: int) -> VerificationReport:
@@ -296,7 +336,7 @@ def verify_counts(n: int) -> VerificationReport:
     """
     fg = build(n)
     failures = []
-    distinct = {_grid_key(grid) for grid, _ in _fibers(n)}
+    distinct = {_grid_key(grid) for grid, _, _ in _fibers(n)}
     node_keys = {_grid_key(grid) for grid in fg.grids.values()}
     if len(fg.nodes) != len(distinct):
         failures.append(
@@ -322,17 +362,18 @@ def verify_inversion(n: int) -> VerificationReport:
     minimum of its fiber, the rightmost the maximum, the fiber is the
     full interval between them, and each of the three pattern classes
     contributes exactly one member.  Interval sizes are popcounts of
-    bitset intervals over all of S_n.
+    bitset intervals over all of S_n.  The inversion masks come from the
+    walk that groups S_n into fibers.
     """
-    masks = {w: inversion_mask(w) for w in itertools.permutations(range(1, n + 1))}
-    bitsets = pair_bitsets(list(masks.values()))
+    groups = _group(n)
+    bitsets = pair_bitsets([m for _, masks in groups.values() for m in masks])
     classes = {
         pclass: set(enumerate_avoiders(n, pclass))
         for pclass in (BAXTER, TWISTED_BAXTER, RIGHTMOST)
     }
     failures = []
     fibers = 0
-    for grid, members in _fibers(n):
+    for grid, members, masks in _drawn(groups):
         fibers += 1
         lo = extraction_word(grid, "leftmost")
         hi = extraction_word(grid, "rightmost")
@@ -340,13 +381,14 @@ def verify_inversion(n: int) -> VerificationReport:
         if lo not in members or hi not in members:
             failures.append(f"{tag}: extraction words are not members")
             continue
-        lo_mask, hi_mask = masks[lo], masks[hi]
-        for m in members:
-            if lo_mask & ~masks[m] or masks[m] & ~hi_mask:
+        lo_mask = masks[members.index(lo)]
+        hi_mask = masks[members.index(hi)]
+        for m, mask in zip(members, masks):
+            if lo_mask & ~mask or mask & ~hi_mask:
                 failures.append(
                     f"{tag}: {format_permutation(m)} is not between the extremes"
                 )
-        interval = between(bitsets, len(masks), lo_mask, hi_mask).bit_count()
+        interval = between(bitsets, math.factorial(n), lo_mask, hi_mask).bit_count()
         if interval != len(members):
             failures.append(
                 f"{tag}: {len(members)} members but interval size {interval}"
@@ -361,21 +403,33 @@ def verify_inversion(n: int) -> VerificationReport:
 
 
 def graph_json(fg: FlipGraph) -> str:
-    """Deterministic JSON dump: permutation strings and typed edges."""
+    """Deterministic JSON dump: permutation strings and typed edges.
+
+    The text is what ``json.dumps(doc, indent=2)`` makes of the document,
+    written line by line: node strings are digits and commas and kind
+    values are plain words, so nothing needs escaping.
+    """
+    nodes = [f'    "{format_permutation(w)}"' for w in fg.nodes]
     edges = []
     for a, b in sorted(fg.edges):
-        for kind in sorted(fg.edges[a, b], key=lambda k: k.value):
+        tags = fg.edges[a, b]
+        pair = (
+            f'      "a": "{format_permutation(a)}",\n'
+            f'      "b": "{format_permutation(b)}",\n'
+        )
+        for kind in sorted(tags, key=lambda k: k.value):
             edges.append(
-                {
-                    "a": format_permutation(a),
-                    "b": format_permutation(b),
-                    "class": kind.value,
-                    "multiplicity": fg.edges[a, b][kind],
-                }
+                f'    {{\n{pair}      "class": "{kind.value}",\n'
+                f'      "multiplicity": {tags[kind]}\n    }}'
             )
-    doc = {
-        "n": fg.n,
-        "nodes": [format_permutation(w) for w in fg.nodes],
-        "edges": edges,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return (
+        f'{{\n  "n": {fg.n},\n'
+        f'  "nodes": {_json_list(nodes)},\n'
+        f'  "edges": {_json_list(edges)}\n}}\n'
+    )
+
+
+def _json_list(items: list[str]) -> str:
+    # A list of already indented items, as json.dumps(indent=2) lays it
+    # out two levels deep.
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"

@@ -277,6 +277,17 @@ class GridRectangulation:
     matrix: Matrix
     rects: dict[int, Rect] = field(init=False, repr=False, compare=False)
 
+    @classmethod
+    def _of_checked_boxes(
+        cls, matrix: Matrix, rects: dict[int, Rect]
+    ) -> GridRectangulation:
+        # A grid whose maker has already checked that rects tile matrix
+        # with label i on diagonal cell (i-1, i-1), as rho does.
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "matrix", matrix)
+        object.__setattr__(grid, "rects", rects)
+        return grid
+
     def __post_init__(self):
         n = len(self.matrix)
         if n == 0 or any(len(row) != n for row in self.matrix):
@@ -371,6 +382,11 @@ def rho(word: Word) -> GridRectangulation:
     for the reversed word, the upper tree.  Distinct words can draw the
     same grid; see :mod:`rectflip.bijection` for the fibers.
 
+    The boxes are checked as they are drawn: each must lie in the
+    square and write no cell twice, their areas must sum to n * n and
+    each diagonal cell must get its own label.  The grid takes the
+    checked boxes as they are.
+
     >>> print(rho((3, 1, 2)))
     1 2 2
     1 2 2
@@ -378,50 +394,68 @@ def rho(word: Word) -> GridRectangulation:
     """
     check_word(word)
     n = len(word)
+    if not n:
+        raise ValueError("rho needs a non-empty word")
     grid = [[0] * n for _ in range(n)]
-    for j, (top, left, bottom, right) in enumerate(_run_boxes(word), 1):
-        for r in range(top, bottom + 1):
-            grid[r][left : right + 1] = [j] * (right - left + 1)
-    return GridRectangulation(freeze_matrix(grid))
+    boxes = _run_boxes(word)
+    area = 0
+    for j, (top, left, bottom, right) in enumerate(boxes, 1):
+        if not (0 <= top <= bottom < n and 0 <= left <= right < n):
+            raise ValueError(f"box {j} of rho({word}) leaves the square")
+        width = right - left + 1
+        blank, fill = [0] * width, [j] * width
+        for row in grid[top : bottom + 1]:
+            if row[left : right + 1] != blank:
+                raise ValueError(f"box {j} of rho({word}) writes a cell twice")
+            row[left : right + 1] = fill
+        area += width * (bottom - top + 1)
+    if area != n * n:
+        raise ValueError(f"the boxes of rho({word}) cover {area} of {n * n} cells")
+    for i, row in enumerate(grid):
+        if row[i] != i + 1:
+            raise ValueError(
+                f"rho({word}) puts label {row[i]} on diagonal cell ({i}, {i})"
+            )
+    rects = dict(zip(range(1, n + 1), map(Rect._make, boxes)))
+    return GridRectangulation._of_checked_boxes(freeze_matrix(grid), rects)
 
 
-def _run_boxes(word: Word) -> list[Rect]:
-    # The box rho draws for each value of word, in value order, on
-    # diagonal indices d = value - 1.  The run down from d lies wholly
-    # after d in word or wholly before it, so it stretches d's box left
-    # or up and the diagonal cell bounds the other side; the run up from
-    # d stretches it down or right alike.
+def _run_boxes(word: Word) -> list[tuple[int, int, int, int]]:
+    # The box rho draws for each value of word, in value order, as each
+    # value is placed.
     n = len(word)
-    pos = [0] * n
-    for i, v in enumerate(word):
-        pos[v - 1] = i
-    boxes = []
-    for d, p in enumerate(pos):
-        lo = hi = d
-        down_after = d > 0 and pos[d - 1] > p
-        while lo > 0 and (pos[lo - 1] > p) == down_after:
-            lo -= 1
-        up_after = d < n - 1 and pos[d + 1] > p
-        while hi < n - 1 and (pos[hi + 1] > p) == up_after:
-            hi += 1
-        top, left = (d, lo) if down_after else (lo, d)
-        bottom, right = (hi, d) if up_after else (d, hi)
-        boxes.append(Rect(top, left, bottom, right))
+    boxes = [None] * n
+    placed = 0
+    for v in word:
+        boxes[v - 1] = _run_box(v - 1, placed, n)
+        placed |= 1 << v - 1
     return boxes
 
 
-def rho_prime(word: Word) -> Matrix:
-    """The insertion map composed with a reflection across the horizontal axis.
-
-    The result is drawn against the bottom-left-to-top-right diagonal:
-    the rectangle labelled i covers the anti-diagonal cell (n-1-(i-1), i-1).
-    Returned as a plain matrix because it deliberately breaks the
-    main-diagonal labelling convention of :class:`GridRectangulation`.
-    """
-    matrix = reflect_rows(rho(word).matrix)
-    n = len(word)
-    assert all(matrix[n - 1 - i][i] == i + 1 for i in range(n))
-    return matrix
+def _run_box(d: int, placed: int, n: int) -> tuple[int, int, int, int]:
+    # The box rho draws for value d + 1 when bit i of placed is set for
+    # each value i + 1 placed before it.  The values placed after it are
+    # the unplaced ones, so each run from diagonal index d ends at the
+    # nearest index whose placed bit differs from that of its first step
+    # (see notes/decisions.md, "A box is fixed when its value is placed").
+    low = (1 << d) - 1
+    below = placed & low
+    if d and not below >> (d - 1):
+        # the run down from d is unplaced and stretches the box left
+        top, left = d, below.bit_length()
+    else:
+        top, left = (low ^ below).bit_length(), d
+    # Bit t of above is index d + 1 + t, and each run up stops at the
+    # border too: bit n - d - 1 is clear in above and set in ~above.
+    above = placed >> (d + 1)
+    if above & 1:
+        stops = ~above
+        bottom, right = d, d + (stops & -stops).bit_length() - 1
+    else:
+        # the run up from d is unplaced and stretches the box down
+        stops = above | 1 << (n - d - 1)
+        bottom, right = d + (stops & -stops).bit_length() - 1, d
+    return top, left, bottom, right
 
 
 def peel_predecessors(grid: GridRectangulation) -> list[int]:

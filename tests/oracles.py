@@ -8,6 +8,7 @@ types themselves.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter, defaultdict, deque
 
 import rectflip as rf
@@ -129,6 +130,35 @@ def staircase_rho(word: Word) -> tuple:
     return tuple(map(tuple, grid))
 
 
+def scan_run_boxes(word: Word) -> list:
+    """The box rho draws for each value of word, in value order, by
+    walking each run of neighbouring values from the value's diagonal
+    index until a value lies on the other side of it in word.
+
+    The run down from index d lies wholly after d in word or wholly
+    before it, so it stretches d's box left or up and the diagonal cell
+    bounds the other side; the run up from d stretches it down or right
+    alike.
+    """
+    n = len(word)
+    pos = [0] * n
+    for i, v in enumerate(word):
+        pos[v - 1] = i
+    boxes = []
+    for d, p in enumerate(pos):
+        lo = hi = d
+        down_after = d > 0 and pos[d - 1] > p
+        while lo > 0 and (pos[lo - 1] > p) == down_after:
+            lo -= 1
+        up_after = d < n - 1 and pos[d + 1] > p
+        while hi < n - 1 and (pos[hi + 1] > p) == up_after:
+            hi += 1
+        top, left = (d, lo) if down_after else (lo, d)
+        bottom, right = (hi, d) if up_after else (d, hi)
+        boxes.append(rf.Rect(top, left, bottom, right))
+    return boxes
+
+
 def _removable(box, heights, ncols: int) -> bool:
     # A rectangle peels off the top staircase when the staircase lies
     # exactly on its top edge and does not re-descend at its right side.
@@ -198,6 +228,42 @@ def antidiagonal_reading(matrix) -> tuple[int, ...]:
     """Cell labels along the anti-diagonal, bottom-left to top-right."""
     n = len(matrix)
     return tuple(matrix[n - 1 - i][i] for i in range(n))
+
+
+def rho_prime(word: Word) -> tuple:
+    """rho's drawing of word reflected across its horizontal midline:
+    drawn against the bottom-left-to-top-right diagonal, the rectangle
+    labelled i covers the anti-diagonal cell (n-1-(i-1), i-1)."""
+    return tuple(reversed(rf.rho(word).matrix))
+
+
+def slash_representative(grid) -> tuple:
+    """The rectangulation redrawn against the bottom-left-to-top-right
+    diagonal, as rho_prime(inverse(baxter_of(grid))).  The rectangle at
+    anti-diagonal position m there corresponds to the rectangle
+    baxter_of(grid)[m-1] here."""
+    return rho_prime(rf.inverse(rf.baxter_of(grid)))
+
+
+def dumped_graph_json(fg) -> str:
+    """graph_json's document built as a dict and written by
+    json.dumps(indent=2)."""
+    edges = [
+        {
+            "a": rf.format_permutation(a),
+            "b": rf.format_permutation(b),
+            "class": kind.value,
+            "multiplicity": fg.edges[a, b][kind],
+        }
+        for a, b in sorted(fg.edges)
+        for kind in sorted(fg.edges[a, b], key=lambda k: k.value)
+    ]
+    doc = {
+        "n": fg.n,
+        "nodes": [rf.format_permutation(w) for w in fg.nodes],
+        "edges": edges,
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def bst_parents(seq) -> dict[int, int | None]:
@@ -461,7 +527,7 @@ def slash_consistency_problems(grid) -> list[str]:
     n = grid.n
     ident = tuple(range(1, n + 1))
     baxter = rf.baxter_of(grid)
-    slash = rf.slash_representative(grid)
+    slash = slash_representative(grid)
     problems = []
     if antidiagonal_reading(slash) != ident:
         problems.append("antidiagonal reading")

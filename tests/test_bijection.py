@@ -10,14 +10,17 @@ from rectflip.bijection import (
     block_deletion_word,
     fiber,
     rightmost_of,
-    slash_representative,
     twisted_baxter_of,
     unique_class_member,
 )
 from rectflip.permutation import avoids_class, contains_vincular
 from rectflip.rectangulation import rho
 
-from oracles import antidiagonal_reading, slash_consistency_problems
+from oracles import (
+    antidiagonal_reading,
+    slash_consistency_problems,
+    slash_representative,
+)
 
 
 def test_fiber_of_the_two_cuts():

@@ -23,9 +23,9 @@ from rectflip.flipgraph import (
 )
 from rectflip.flips import FlipKind, neighbors
 from rectflip.permutation import consecutive_value_swap
-from rectflip.rectangulation import Rect, rho
+from rectflip.rectangulation import rho
 
-from oracles import bfs_diameter, brute_fibers, matrix_keyed_build
+from oracles import bfs_diameter, brute_fibers, dumped_graph_json, matrix_keyed_build
 
 
 def test_build_3_is_the_known_graph():
@@ -224,6 +224,12 @@ def test_graph_json_shape():
     assert graph_json(fg) == graph_json(build(3))
 
 
+def test_graph_json_matches_json_dumps():
+    for n in range(1, 8):
+        fg = build(n)
+        assert graph_json(fg) == dumped_graph_json(fg)
+
+
 def test_pairs_tagged_filters_kinds():
     fg = build(3)
     simple = fg.pairs_tagged({FlipKind.SIMPLE})
@@ -234,25 +240,39 @@ def test_pairs_tagged_filters_kinds():
 
 
 def test_fibers_match_staircase_oracle():
+    # Same fibers, yielded in the same order: by first member in
+    # lexicographic order, each listing its members in that order.
     for n in range(1, 7):
-        groups = {grid.matrix: set(members) for grid, members in flipgraph._fibers(n)}
-        assert groups == brute_fibers(n)
+        fibers = [(grid.matrix, members) for grid, members, _ in flipgraph._fibers(n)]
+        assert [(m, set(ws)) for m, ws in fibers] == list(brute_fibers(n).items())
+        assert all(members == sorted(members) for _, members in fibers)
+
+
+def test_fibers_carry_each_members_inversion_mask():
+    for n in range(1, 8):
+        for _, members, masks in flipgraph._fibers(n):
+            assert masks == [rf.inversion_mask(w) for w in members]
 
 
 def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
     # 2143 and 2413 draw the same grid; a shifted box for 2413 alone
-    # would split their fiber in two if the keys were not checked.
-    real = flipgraph._run_boxes
+    # would split their fiber in two if the keys were not checked.  The
+    # walk places values one at a time, so the shift goes on the box of
+    # 1 where it is placed after the prefix 2-4; the prefix 4-2 has the
+    # same values placed, and keeps its box.
+    real = flipgraph._run_box
+    prefix = []
 
-    def shifted(word):
-        boxes = real(word)
-        if word == (2, 4, 1, 3):
-            t, l, b, r = boxes[0]
-            boxes[0] = Rect(t, l + 1, b, r + 1)
-        return boxes
+    def shifted(d, placed, n):
+        del prefix[placed.bit_count() :]
+        prefix.append(d + 1)
+        top, left, bottom, right = real(d, placed, n)
+        if prefix == [2, 4, 1]:
+            return top, left + 1, bottom, right + 1
+        return top, left, bottom, right
 
     assert rho((2, 1, 4, 3)) == rho((2, 4, 1, 3))
-    monkeypatch.setattr(flipgraph, "_run_boxes", shifted)
+    monkeypatch.setattr(flipgraph, "_run_box", shifted)
     with pytest.raises(RuntimeError, match="rho draws 2413 off its run boxes"):
         list(flipgraph._fibers(4))
 
@@ -267,7 +287,7 @@ def test_value_swaps_over_all_words_join_pairs_that_are_not_flips():
         fg = build(n)
         nodes = set(fg.nodes)
         node_of = {}
-        for _, members in flipgraph._fibers(n):
+        for _, members, _ in flipgraph._fibers(n):
             (node,) = nodes.intersection(members)
             node_of.update(dict.fromkeys(members, node))
         swaps = {

@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rectflip as rf
+from rectflip import rectangulation
 from rectflip.bijection import FIBER_CAP
 from rectflip.flips import _classify
 from rectflip.permutation import avoids_class
 from rectflip.rectangulation import (
     GridRectangulation,
     NotDiagonalError,
+    _run_boxes,
     bounding_boxes,
     canonicalize,
     diagonal_obstruction,
@@ -19,7 +21,6 @@ from rectflip.rectangulation import (
     geometry,
     reflect_rows,
     rho,
-    rho_prime,
     twin_trees,
 )
 
@@ -31,6 +32,8 @@ from oracles import (
     find_edge_by_scan,
     minmax_bounding_boxes,
     relabel,
+    rho_prime,
+    scan_run_boxes,
     staircase_extraction_word,
     staircase_fiber,
     staircase_rho,
@@ -77,7 +80,9 @@ def test_rho_matches_staircase_insertion_exhaustively():
     checked = 0
     for n in range(1, 8):
         for word in itertools.permutations(range(1, n + 1)):
-            assert rho(word).matrix == staircase_rho(word)
+            grid = rho(word)
+            assert grid.matrix == staircase_rho(word)
+            assert grid.rects == bounding_boxes(grid.matrix)
             checked += 1
     assert checked == 5913
 
@@ -91,6 +96,38 @@ def test_rho_matches_staircase_insertion_sampled(word):
 def test_rho_rejects_non_permutations(bad):
     with pytest.raises(ValueError):
         rho(bad)
+
+
+def test_run_box_rule_matches_the_scanning_oracle_exhaustively():
+    checked = 0
+    for n in range(1, 9):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert _run_boxes(word) == scan_run_boxes(word)
+            checked += 1
+    assert checked == 46233
+
+
+@given(words(1, 40))
+def test_run_box_rule_matches_the_scanning_oracle_sampled(word):
+    assert _run_boxes(word) == scan_run_boxes(word)
+
+
+# Boxes for a word of size 3 that do not tile the square, each with the
+# check in rho that must catch it.  The identity draws three columns.
+BAD_BOXES_3 = [
+    ([(0, 0, 2, 1), (0, 1, 2, 1), (0, 2, 2, 2)], "box 2 .* writes a cell twice"),
+    ([(0, 0, 1, 0), (0, 1, 2, 1), (0, 2, 2, 2)], "cover 8 of 9 cells"),
+    ([(0, 1, 2, 1), (0, 0, 2, 0), (0, 2, 2, 2)], r"label 2 on diagonal cell \(0, 0\)"),
+    ([(0, 0, 2, 0), (0, 1, 2, 1), (0, 2, 2, 3)], "box 3 .* leaves the square"),
+]
+
+
+@pytest.mark.parametrize("boxes, message", BAD_BOXES_3)
+def test_rho_rejects_boxes_that_do_not_tile(monkeypatch, boxes, message):
+    assert rho((1, 2, 3)).rects == {1: (0, 0, 2, 0), 2: (0, 1, 2, 1), 3: (0, 2, 2, 2)}
+    monkeypatch.setattr(rectangulation, "_run_boxes", lambda word: boxes)
+    with pytest.raises(ValueError, match=message):
+        rho((1, 2, 3))
 
 
 @given(words(1, 8))
