@@ -21,10 +21,11 @@ each word's inversion mask, keeping the words as bytes, peaks at
 23.2 MB, against 22.7 MB for the keying alone (Python 3.11.7).
 
 verify_inversion(8) checks that each of those 10,754 fibers is a
-weak-order interval.  Its budget, 32 MB, sits between the 28.2 MB it
-peaks at when it takes each word's inversion mask from that walk, and
-the 34.3 MB it took when every word's mask was computed on its own and
-held in a dict keyed by the word.
+weak-order interval.  Its budget, 32 MB, sits between the 24-28 MB it
+peaks at when it takes each word's inversion mask from that walk (24.3,
+27.9, 26.4 and 26.7 MB on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0),
+and the 34.3 MB it took on Python 3.11.7 when every word's mask was
+computed on its own and held in a dict keyed by the word.
 
 enumerate_avoiders(10, BAXTER) lists all 326,240 Baxter permutations of
 size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when
@@ -33,8 +34,7 @@ in place, and the 74-78 MB it takes when the tuples are built as a
 second list while the bytes are still held.  Growing the levels as
 tuples took 62-66 MB.
 
-All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host,
-except those of verify_inversion(8), which are for Python 3.11.7 only.
+All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .flips import (
     law_reading_edges,
     neighbors,
 )
-from .order import drec_covers, inversion_mask, is_drec_cover, weak_leq
+from .order import drec_covers, inversion_mask
 from .permutation import (
     BAXTER,
     CLASSES_BY_NAME,
@@ -56,12 +56,10 @@ from .rectangulation import (
     GridRectangulation,
     NotDiagonalError,
     Rect,
-    TwinTrees,
     canonicalize,
     diagonal_obstruction,
     reflect_rows,
     rho,
-    twin_trees,
 )
 
 __version__ = "0.1.0"

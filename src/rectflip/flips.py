@@ -26,9 +26,6 @@ from .rectangulation import (
     rho,
 )
 
-_OPPOSITE = {"up": "down", "down": "up", "left": "right", "right": "left"}
-
-
 class FlipKind(enum.Enum):
     SIMPLE = "simple"
     ROTATION_LR = "rotation_lr"
@@ -232,29 +229,17 @@ def neighbors(
 def law_reading_edges(grid: GridRectangulation) -> frozenset[Edge]:
     """Interior edges surviving the toward-the-diagonal exclusion rule.
 
-    At every inner vertex off the diagonal, among the edge directions
-    leading toward the diagonal, the one continuing straight through the
-    vertex is excluded.  The survivors are exactly the edges classified
-    Simple or RotationLR; the equality is checked exhaustively in the
-    test suite rather than assumed here.
+    At every inner vertex (r, c) off the diagonal, the edge that leaves
+    it toward the diagonal (down or left when r < c, up or right when
+    r > c) and continues straight through it is excluded.  On the edge
+    that is a matched start before the point where the diagonal crosses
+    its line, or a matched end after that point (see notes/decisions.md,
+    "An edge has one maker").  The survivors are exactly the edges
+    classified Simple or RotationLR; the equality is checked
+    exhaustively in the test suite rather than assumed here.
     """
-    n = grid.n
-    geo = grid.geometry
-    incident: dict[tuple[tuple[int, int], str], Edge] = {}
-    for e in geo.edges:
-        p1, p2 = e.endpoints
-        if e.orient == "h":
-            incident[p1, "right"] = e
-            incident[p2, "left"] = e
-        else:
-            incident[p1, "down"] = e
-            incident[p2, "up"] = e
-    excluded = set()
-    for (r, c), vertex in geo.vertices.items():
-        if not (0 < r < n and 0 < c < n) or r == c:
-            continue
-        toward = ("down", "left") if r < c else ("up", "right")
-        for d in toward:
-            if d in vertex.dirs and _OPPOSITE[d] in vertex.dirs:
-                excluded.add(incident[(r, c), d])
-    return frozenset(e for e in geo.edges if 0 < e.line < n and e not in excluded)
+    return frozenset(
+        e
+        for e in grid.interior_edges()
+        if not (e.matched_start and e.start < e.line or e.matched_end and e.line < e.end)
+    )

@@ -13,7 +13,7 @@ from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .permutation import BAXTER, Word, avoids_class, check_word, enumerate_avoiders
+from .permutation import BAXTER, Word, enumerate_avoiders
 
 
 def _pair_index(a: int, b: int) -> int:
@@ -29,13 +29,6 @@ def inversion_mask(word: Word) -> int:
             if a < b:
                 mask |= 1 << _pair_index(a, b)
     return mask
-
-
-def weak_leq(lo: Word, hi: Word) -> bool:
-    """Inversion-set inclusion, the weak (Bruhat) order."""
-    if len(lo) != len(hi):
-        raise ValueError(f"sizes differ: {len(lo)} vs {len(hi)}")
-    return inversion_mask(lo) & ~inversion_mask(hi) == 0
 
 
 def pair_bitsets(masks: Sequence[int]) -> list[int]:
@@ -102,15 +95,3 @@ def drec_covers(n: int) -> frozenset[tuple[Word, Word]]:
     two is a genuine cross-check.
     """
     return frozenset(covers_within(enumerate_avoiders(n, BAXTER)))
-
-
-def is_drec_cover(p: Word, q: Word) -> bool:
-    """Whether {p, q} is a cover pair of the Baxter restriction, either way up."""
-    for w in (p, q):
-        check_word(w)
-        if not avoids_class(w, BAXTER):
-            raise ValueError(f"not a Baxter permutation: {w}")
-    if len(p) != len(q):
-        raise ValueError(f"sizes differ: {len(p)} vs {len(q)}")
-    pairs = drec_covers(len(p))
-    return (p, q) in pairs or (q, p) in pairs

@@ -76,7 +76,6 @@ def bounding_boxes(matrix: Matrix) -> dict[int, Rect]:
 class Vertex:
     point: tuple[int, int]
     kind: str  # "corner", "stem_left", "stem_right", "stem_up", "stem_down", "four_way"
-    dirs: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,6 @@ class Edge:
     matched_end: bool
 
     @property
-    def endpoints(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        if self.orient == "h":
-            return (self.line, self.start), (self.line, self.end)
-        return (self.start, self.line), (self.end, self.line)
-
-    @property
     def crosses_diagonal(self) -> bool:
         # A wall piece meets the open diagonal iff the diagonal passes
         # strictly between its endpoints; for both orientations that is
@@ -128,11 +121,14 @@ class Edge:
 class Geometry:
     vertices: dict[tuple[int, int], Vertex]
     segments: tuple[Segment, ...]
-    edges: tuple[Edge, ...]
 
 
 def geometry(matrix: Matrix) -> Geometry:
-    """Vertices, maximal segments, and edges of the wall structure."""
+    """Vertices and maximal segments of the wall structure.
+
+    Only :func:`diagonal_obstruction` scans them; wall pieces come from
+    :meth:`GridRectangulation.find_edge`.
+    """
     nrows = len(matrix)
     ncols = len(matrix[0])
 
@@ -176,10 +172,9 @@ def geometry(matrix: Matrix) -> Geometry:
                     "up": "stem_down",
                     "down": "stem_up",
                 }[missing]
-            vertices[r, c] = Vertex((r, c), kind, found)
+            vertices[r, c] = Vertex((r, c), kind)
 
     segments: list[Segment] = []
-    edges: list[Edge] = []
 
     def sweep(orient: str, line: int, length: int, present) -> None:
         c = 0
@@ -191,29 +186,13 @@ def geometry(matrix: Matrix) -> Geometry:
             while c < length and present(c):
                 c += 1
             segments.append(Segment(orient, line, start, c))
-            if orient == "h":
-                stops = [t for t in range(start, c + 1) if (line, t) in vertices]
-            else:
-                stops = [t for t in range(start, c + 1) if (t, line) in vertices]
-            assert stops[0] == start and stops[-1] == c
-            for lo, hi in zip(stops, stops[1:]):
-                edges.append(
-                    Edge(
-                        orient,
-                        line,
-                        lo,
-                        hi,
-                        matched_start=lo > start,
-                        matched_end=hi < c,
-                    )
-                )
 
     for r in range(nrows + 1):
         sweep("h", r, ncols, lambda c, r=r: hwall(r, c))
     for c in range(ncols + 1):
         sweep("v", c, nrows, lambda r, c=c: vwall(r, c))
 
-    return Geometry(vertices, tuple(segments), tuple(edges))
+    return Geometry(vertices, tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -306,15 +285,22 @@ class GridRectangulation:
     def n(self) -> int:
         return len(self.matrix)
 
-    @property
-    def geometry(self) -> Geometry:
-        """The wall structure, recomputed on each access: a grid keeps none."""
-        return geometry(self.matrix)
-
     def interior_edges(self) -> tuple[Edge, ...]:
-        return tuple(
-            e for e in self.geometry.edges if 0 < e.line < self.n
-        )
+        """Every interior wall piece, ordered by orientation, line and start.
+
+        Each piece has a rectangle on its left or above it, and the one
+        on its other side lies just right of that rectangle's box or just
+        below it; :meth:`find_edge` draws the piece between the two.
+        """
+        m, n, edges = self.matrix, self.n, []
+        for a, (top, left, bottom, right) in self.rects.items():
+            others = set()
+            if right + 1 < n:
+                others.update(row[right + 1] for row in m[top : bottom + 1])
+            if bottom + 1 < n:
+                others.update(m[bottom + 1][left : right + 1])
+            edges.extend(self.find_edge(a, b) for b in others)
+        return tuple(sorted(edges, key=lambda e: (e.orient, e.line, e.start)))
 
     def edge_labels(self, edge: Edge) -> tuple[int, int]:
         """The two rectangles an interior edge separates.
@@ -619,71 +605,3 @@ def _canonical_word(matrix: Matrix) -> tuple[Word, dict[int, int]]:
 def reflect_rows(matrix: Matrix) -> Matrix:
     """Mirror the drawing across its horizontal midline."""
     return freeze_matrix(reversed(matrix))
-
-
-@dataclass(frozen=True)
-class TwinTrees:
-    """Parent maps of the two trees a drawing carries along its diagonal.
-
-    ``lower`` is the tree below the diagonal, rooted at the rectangle on
-    the bottom-left cell and drawn root-first; ``upper`` is the tree
-    above, rooted at the rectangle on the top-right cell and drawn
-    root-last.  Their common linear extensions are exactly the insertion
-    orders that reproduce the drawing.
-    """
-
-    lower: dict[int, int | None]
-    upper: dict[int, int | None]
-
-    def admits(self, word: Word) -> bool:
-        position = {v: i for i, v in enumerate(word)}
-        for v, parent in self.lower.items():
-            if parent is not None and position[parent] > position[v]:
-                return False
-        for v, parent in self.upper.items():
-            if parent is not None and position[parent] < position[v]:
-                return False
-        return True
-
-
-def twin_trees(grid: GridRectangulation) -> TwinTrees:
-    """Read both trees off the rectangle corners.
-
-    Each rectangle hangs from a neighbour at its bottom-left corner
-    (lower tree) and from a neighbour at its top-right corner (upper
-    tree); the corner's third rectangle decides which neighbour is the
-    parent.
-    """
-    matrix = grid.matrix
-    n = grid.n
-    lower: dict[int, int | None] = {}
-    upper: dict[int, int | None] = {}
-    for lab, box in grid.rects.items():
-        t, l, b, rr = box
-        # lower parent, read off the bottom-left corner
-        if b == n - 1 and l == 0:
-            lower[lab] = None
-        elif l == 0:
-            lower[lab] = matrix[b + 1][l]
-        elif b == n - 1:
-            lower[lab] = matrix[b][l - 1]
-        else:
-            side = matrix[b][l - 1]
-            below = matrix[b + 1][l]
-            corner = matrix[b + 1][l - 1]
-            lower[lab] = side if corner == below else below
-        # upper parent, read off the top-right corner
-        if t == 0 and rr == n - 1:
-            upper[lab] = None
-        elif t == 0:
-            upper[lab] = matrix[t][rr + 1]
-        elif rr == n - 1:
-            upper[lab] = matrix[t - 1][rr]
-        else:
-            side = matrix[t][rr + 1]
-            above = matrix[t - 1][rr]
-            corner = matrix[t - 1][rr + 1]
-            upper[lab] = side if corner == above else above
-    assert sum(1 for p in lower.values() if p is None) == 1
-    assert sum(1 for p in upper.values() if p is None) == 1
-    return TwinTrees(lower, upper)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, defaultdict, deque
+from dataclasses import dataclass
 
 import rectflip as rf
 
@@ -288,6 +289,74 @@ def bst_parents(seq) -> dict[int, int | None]:
     return parents
 
 
+@dataclass(frozen=True)
+class TwinTrees:
+    """Parent maps of the two trees a drawing carries along its diagonal.
+
+    ``lower`` is the tree below the diagonal, rooted at the rectangle on
+    the bottom-left cell and drawn root-first; ``upper`` is the tree
+    above, rooted at the rectangle on the top-right cell and drawn
+    root-last.  Their common linear extensions are exactly the insertion
+    orders that reproduce the drawing.
+    """
+
+    lower: dict[int, int | None]
+    upper: dict[int, int | None]
+
+    def admits(self, word: Word) -> bool:
+        position = {v: i for i, v in enumerate(word)}
+        for v, parent in self.lower.items():
+            if parent is not None and position[parent] > position[v]:
+                return False
+        for v, parent in self.upper.items():
+            if parent is not None and position[parent] < position[v]:
+                return False
+        return True
+
+
+def twin_trees(grid) -> TwinTrees:
+    """Read both trees off the rectangle corners.
+
+    Each rectangle hangs from a neighbour at its bottom-left corner
+    (lower tree) and from a neighbour at its top-right corner (upper
+    tree); the corner's third rectangle decides which neighbour is the
+    parent.
+    """
+    matrix = grid.matrix
+    n = grid.n
+    lower: dict[int, int | None] = {}
+    upper: dict[int, int | None] = {}
+    for lab, box in grid.rects.items():
+        t, l, b, rr = box
+        # lower parent, read off the bottom-left corner
+        if b == n - 1 and l == 0:
+            lower[lab] = None
+        elif l == 0:
+            lower[lab] = matrix[b + 1][l]
+        elif b == n - 1:
+            lower[lab] = matrix[b][l - 1]
+        else:
+            side = matrix[b][l - 1]
+            below = matrix[b + 1][l]
+            corner = matrix[b + 1][l - 1]
+            lower[lab] = side if corner == below else below
+        # upper parent, read off the top-right corner
+        if t == 0 and rr == n - 1:
+            upper[lab] = None
+        elif t == 0:
+            upper[lab] = matrix[t][rr + 1]
+        elif rr == n - 1:
+            upper[lab] = matrix[t - 1][rr]
+        else:
+            side = matrix[t][rr + 1]
+            above = matrix[t - 1][rr]
+            corner = matrix[t - 1][rr + 1]
+            upper[lab] = side if corner == above else above
+    assert sum(1 for p in lower.values() if p is None) == 1
+    assert sum(1 for p in upper.values() if p is None) == 1
+    return TwinTrees(lower, upper)
+
+
 def brute_fibers(n: int) -> dict[tuple, set[Word]]:
     """Group all of S_n by the drawing each word produces under staircase
     insertion."""
@@ -295,6 +364,57 @@ def brute_fibers(n: int) -> dict[tuple, set[Word]]:
     for word in itertools.permutations(range(1, n + 1)):
         groups[staircase_rho(word)].add(word)
     return dict(groups)
+
+
+def swept_edges(matrix) -> list:
+    """Every wall piece of a drawing, boundary pieces included, by a
+    sweep of each lattice row and then each lattice column.
+
+    Each maximal run of unit walls on a line is cut at every point that
+    a perpendicular unit wall touches; a piece's end is matched when the
+    run goes on past it.
+    """
+    nrows, ncols = len(matrix), len(matrix[0])
+
+    def hwall(r: int, c: int) -> bool:
+        # unit wall on lattice row r, spanning columns c..c+1
+        return r == 0 or r == nrows or matrix[r - 1][c] != matrix[r][c]
+
+    def vwall(r: int, c: int) -> bool:
+        # unit wall on lattice column c, spanning rows r..r+1
+        return c == 0 or c == ncols or matrix[r][c - 1] != matrix[r][c]
+
+    edges = []
+
+    def sweep(orient: str, line: int, length: int, present, crossed) -> None:
+        t = 0
+        while t < length:
+            if not present(t):
+                t += 1
+                continue
+            start = t
+            while t < length and present(t):
+                t += 1
+            stops = [start, *(u for u in range(start + 1, t) if crossed(u)), t]
+            for lo, hi in zip(stops, stops[1:]):
+                edges.append(rf.Edge(orient, line, lo, hi, lo > start, hi < t))
+
+    for r in range(nrows + 1):
+        sweep(
+            "h", r, ncols, lambda c, r=r: hwall(r, c),
+            lambda c, r=r: r > 0 and vwall(r - 1, c) or r < nrows and vwall(r, c),
+        )
+    for c in range(ncols + 1):
+        sweep(
+            "v", c, nrows, lambda r, c=c: vwall(r, c),
+            lambda r, c=c: c > 0 and hwall(r, c - 1) or c < ncols and hwall(r, c),
+        )
+    return edges
+
+
+def swept_interior_edges(grid) -> tuple:
+    """The pieces of swept_edges off the border of the square."""
+    return tuple(e for e in swept_edges(grid.matrix) if 0 < e.line < grid.n)
 
 
 def find_edge_by_scan(grid, edges, a: int, b: int):
@@ -430,6 +550,26 @@ def adjacent_position_swap(word: Word, j: int) -> Word:
 
 def brute_weak_leq(lo: Word, hi: Word) -> bool:
     return inversion_pairs(lo) <= inversion_pairs(hi)
+
+
+def weak_leq(lo: Word, hi: Word) -> bool:
+    """Inversion-set inclusion, the weak (Bruhat) order, as one test on
+    inversion masks."""
+    if len(lo) != len(hi):
+        raise ValueError(f"sizes differ: {len(lo)} vs {len(hi)}")
+    return rf.inversion_mask(lo) & ~rf.inversion_mask(hi) == 0
+
+
+def is_drec_cover(p: Word, q: Word) -> bool:
+    """Whether {p, q} is a cover pair of the Baxter restriction, either way up."""
+    for w in (p, q):
+        rf.permutation.check_word(w)
+        if not rf.avoids_class(w, rf.BAXTER):
+            raise ValueError(f"not a Baxter permutation: {w}")
+    if len(p) != len(q):
+        raise ValueError(f"sizes differ: {len(p)} vs {len(q)}")
+    pairs = rf.drec_covers(len(p))
+    return (p, q) in pairs or (q, p) in pairs
 
 
 def brute_covers(words: list[Word]) -> set[tuple[Word, Word]]:

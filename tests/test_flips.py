@@ -25,7 +25,7 @@ from rectflip.rectangulation import (
     rho,
 )
 
-from oracles import recut_cells
+from oracles import recut_cells, swept_edges
 
 
 def grids(n):
@@ -129,7 +129,7 @@ def test_interior_check_accepts_exactly_the_interior_edges():
     for n in range(1, 7):
         for g in grids(n):
             interior = set(g.interior_edges())
-            candidates = {m for e in geometry(g.matrix).edges for m in _near_misses(e)}
+            candidates = {m for e in swept_edges(g.matrix) for m in _near_misses(e)}
             for e in candidates:
                 if e in interior:
                     fc = classify_edge(g, e)
@@ -234,7 +234,7 @@ def test_corner_kinds_at_matched_junctions():
     }
     for n in range(2, 7):
         for g in grids(n):
-            verts = g.geometry.vertices
+            verts = geometry(g.matrix).vertices
             for e in g.interior_edges():
                 if e.matched_count != 1:
                     continue

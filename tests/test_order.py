@@ -14,9 +14,7 @@ from rectflip.order import (
     covers_within,
     drec_covers,
     inversion_mask,
-    is_drec_cover,
     pair_bitsets,
-    weak_leq,
 )
 from rectflip.rectangulation import rho
 
@@ -25,7 +23,9 @@ from oracles import (
     brute_covers,
     brute_weak_leq,
     inversion_pairs,
+    is_drec_cover,
     pairwise_covers,
+    weak_leq,
 )
 
 

@@ -21,7 +21,6 @@ from rectflip.rectangulation import (
     geometry,
     reflect_rows,
     rho,
-    twin_trees,
 )
 
 from oracles import (
@@ -37,6 +36,9 @@ from oracles import (
     staircase_extraction_word,
     staircase_fiber,
     staircase_rho,
+    swept_edges,
+    swept_interior_edges,
+    twin_trees,
 )
 
 words = lambda lo, hi: st.integers(lo, hi).flatmap(
@@ -216,12 +218,31 @@ def test_bounding_boxes_match_minmax_oracle(matrix):
 
 
 def test_geometry_of_vertical_cut():
-    geo = geometry(((1, 2), (1, 2)))
+    matrix = ((1, 2), (1, 2))
+    geo = geometry(matrix)
     kinds = {point: v.kind for point, v in geo.vertices.items()}
     assert kinds[(0, 0)] == "corner" and kinds[(2, 2)] == "corner"
     assert kinds[(0, 1)] == "stem_down" and kinds[(2, 1)] == "stem_up"
-    [edge] = [e for e in geo.edges if 0 < e.line < 2]
+    [edge] = [e for e in swept_edges(matrix) if 0 < e.line < 2]
     assert edge.orient == "v" and not edge.matched_start and not edge.matched_end
+
+
+def test_interior_edges_match_the_sweep():
+    # Pieces drawn by find_edge from neighbouring boxes against the
+    # wall sweep, in order, on every drawing with n <= 7.
+    checked = 0
+    for n in range(1, 8):
+        for word in rf.enumerate_avoiders(n, rf.BAXTER):
+            grid = rho(word)
+            assert grid.interior_edges() == swept_interior_edges(grid)
+            checked += 1
+    assert checked == 2619
+
+
+@given(words(1, 40))
+def test_interior_edges_match_the_sweep_sampled(word):
+    grid = rho(word)
+    assert grid.interior_edges() == swept_interior_edges(grid)
 
 
 def test_interior_edge_ids_of_worked_example():
@@ -249,7 +270,7 @@ def test_find_edge_matches_scan_oracle():
     for n in range(1, 7):
         for w in rf.enumerate_avoiders(n, rf.BAXTER):
             grid = rho(w)
-            edges = grid.interior_edges()
+            edges = swept_interior_edges(grid)
             for a, b in itertools.permutations(range(1, n + 1), 2):
                 pairs += 1
                 expected = outcome(find_edge_by_scan, grid, edges, a, b)
