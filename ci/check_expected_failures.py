@@ -1,7 +1,8 @@
 """Pass only when no test failed, errored or was skipped.
 
 Reads the JUnit XML that ``pytest --junitxml`` writes and exits 0 when
-every test passed.  It exits 1 otherwise, naming each offending test.
+every test passed.  It exits 1 otherwise, naming each offending test,
+and also when the file holds no test at all.
 Every test must pass (notes/decisions.md records why criteria 02 and
 10 were corrected rather than allowed to fail).
 
@@ -25,6 +26,8 @@ def main(path: str) -> int:
             skipped.add(name)
     problems = [f"failed: {n}" for n in failed] + [f"skipped: {n}" for n in skipped]
     print(f"{total} tests, {len(failed)} failed, {len(skipped)} skipped")
+    if not total:
+        problems.append("no test ran")
     for line in sorted(problems):
         print(line)
     return 1 if problems else 0

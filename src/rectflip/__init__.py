@@ -3,7 +3,6 @@
 from .bijection import (
     Fiber,
     baxter_of,
-    block_delete_bottom_left,
     block_deletion_word,
     fiber,
     rightmost_of,
@@ -47,12 +46,10 @@ from .permutation import (
     contains_vincular,
     enumerate_avoiders,
     format_permutation,
-    inverse,
     parse_permutation,
 )
 from .rectangulation import (
     Edge,
-    Geometry,
     GridRectangulation,
     NotDiagonalError,
     Rect,

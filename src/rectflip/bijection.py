@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .permutation import PatternClass, Word, avoids_class
 from .rectangulation import (
     GridRectangulation,
-    block_delete_bottom_left,  # re-exported
     block_deletion_word,
     extraction_word,
     peel_predecessors,
@@ -39,9 +38,6 @@ class Fiber:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def sorted_members(self) -> list[Word]:
-        return sorted(self.members)
 
 
 def fiber(grid: GridRectangulation) -> Fiber:

@@ -27,14 +27,7 @@ from .flipgraph import (
     verify_theorem_lr,
     verify_theorem_main,
 )
-from .flips import (
-    EdgeUnflippable,
-    FlipKind,
-    classify_edge,
-    edge_flips,
-    flip,
-    sorted_edges,
-)
+from .flips import EdgeUnflippable, FlipKind, _edge_recuts, edge_flips, flip
 from .permutation import (
     CLASSES_BY_NAME,
     enumerate_avoiders,
@@ -132,8 +125,8 @@ def render_svg(grid: GridRectangulation) -> str:
         f'  <rect x="{x_at(0)}" y="{y_at(0)}" width="{side}" height="{side}" '
         'fill="white" stroke="black" stroke-width="2"/>',
     ]
-    for edge in sorted_edges(grid):
-        color = KIND_COLOR[classify_edge(grid, edge).kind]
+    for edge, flip_class, _ in _edge_recuts(grid):
+        color = KIND_COLOR[flip_class.kind]
         if edge.orient == "h":
             x1, y1 = x_at(edge.start), y_at(edge.line)
             x2, y2 = x_at(edge.end), y_at(edge.line)

@@ -14,10 +14,9 @@ Every pattern of the five classes has the form a-bc-d or a-b-c-d with
 occurrence when appended to a word fill a union of open value
 intervals, one per earlier letter, which ``_completing`` reads off the
 word.  Enumeration reads them once per prefix and builds only the
-children that avoid; matching at a given end asks whether the end
-letter lies in an interval of the letters before it, and matching a
-whole word keeps every interval as the word grows.  Any other pattern
-is matched by backtracking.
+children that avoid, and ``contains_vincular`` matches a whole word in
+one pass of ``_contains_block``, which keeps every interval as the word
+grows.  Any other pattern is matched by the backtracker of ``_ends_at``.
 """
 
 from __future__ import annotations
@@ -33,21 +32,6 @@ def check_word(word: Word) -> None:
     n = len(word)
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {word!r}")
-
-
-def inverse(word: Word) -> Word:
-    """Inverse permutation: position of each value.
-
-    The defining property is ``inverse(w)[w[i] - 1] == i + 1`` for every
-    0-based index i.
-
-    >>> inverse((4, 1, 6, 5, 3, 7, 2))
-    (2, 7, 5, 1, 4, 3, 6)
-    """
-    out = [0] * len(word)
-    for pos, value in enumerate(word, start=1):
-        out[value - 1] = pos
-    return tuple(out)
 
 
 def consecutive_value_swap(word: Word, k: int) -> Word:
@@ -225,8 +209,6 @@ def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
     if end < k - 1:
         return False
     last, q_last = word[end], pat[-1]
-    if _in_block_family(pattern):
-        return any(lo < last < hi for lo, hi in _completing(word[:end], pattern))
 
     # Backtrack over the first k - 1 letters, all left of end, comparing
     # each candidate with the fixed last letter as well.

@@ -73,22 +73,6 @@ def bounding_boxes(matrix: Matrix) -> dict[int, Rect]:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    point: tuple[int, int]
-    kind: str  # "corner", "stem_left", "stem_right", "stem_up", "stem_down", "four_way"
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Maximal straight wall.  For "h" the line is a row, for "v" a column."""
-
-    orient: str
-    line: int
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class Edge:
     """Wall piece between two consecutive vertices of a segment.
 
@@ -119,12 +103,16 @@ class Edge:
 
 @dataclass(frozen=True)
 class Geometry:
-    vertices: dict[tuple[int, int], Vertex]
-    segments: tuple[Segment, ...]
+    # The kind of each vertex: "corner", "stem_left", "stem_right",
+    # "stem_up", "stem_down" or "four_way".
+    vertices: dict[tuple[int, int], str]
+    # Each maximal wall as (orient, line, start, end); the line is a row
+    # for "h" and a column for "v".
+    segments: tuple[tuple[str, int, int, int], ...]
 
 
 def geometry(matrix: Matrix) -> Geometry:
-    """Vertices and maximal segments of the wall structure.
+    """Vertex kinds and maximal segments of the wall structure.
 
     Only :func:`diagonal_obstruction` scans them; wall pieces come from
     :meth:`GridRectangulation.find_edge`.
@@ -151,7 +139,7 @@ def geometry(matrix: Matrix) -> Geometry:
             found.add("right")
         return frozenset(found)
 
-    vertices: dict[tuple[int, int], Vertex] = {}
+    vertices: dict[tuple[int, int], str] = {}
     for r in range(nrows + 1):
         for c in range(ncols + 1):
             found = dirs_at(r, c)
@@ -172,9 +160,9 @@ def geometry(matrix: Matrix) -> Geometry:
                     "up": "stem_down",
                     "down": "stem_up",
                 }[missing]
-            vertices[r, c] = Vertex((r, c), kind)
+            vertices[r, c] = kind
 
-    segments: list[Segment] = []
+    segments: list[tuple[str, int, int, int]] = []
 
     def sweep(orient: str, line: int, length: int, present) -> None:
         c = 0
@@ -185,7 +173,7 @@ def geometry(matrix: Matrix) -> Geometry:
             start = c
             while c < length and present(c):
                 c += 1
-            segments.append(Segment(orient, line, start, c))
+            segments.append((orient, line, start, c))
 
     for r in range(nrows + 1):
         sweep("h", r, ncols, lambda c, r=r: hwall(r, c))
@@ -222,23 +210,23 @@ def diagonal_obstruction(matrix: Matrix) -> DiagonalObstruction | None:
     four rectangles are rejected outright.
     """
     geo = geometry(matrix)
-    for point, vertex in geo.vertices.items():
-        if vertex.kind == "four_way":
+    for point, kind in geo.vertices.items():
+        if kind == "four_way":
             return DiagonalObstruction("four_way", point)
-    for seg in geo.segments:
-        if seg.orient == "v":
+    for orient, line, start, end in geo.segments:
+        if orient == "v":
             bad_kind, trigger_kind, reason = "stem_left", "stem_right", "vertical"
         else:
             bad_kind, trigger_kind, reason = "stem_up", "stem_down", "horizontal"
         armed: tuple[int, int] | None = None
-        for t in range(seg.start, seg.end + 1):
-            point = (t, seg.line) if seg.orient == "v" else (seg.line, t)
-            vertex = geo.vertices.get(point)
-            if vertex is None:
+        for t in range(start, end + 1):
+            point = (t, line) if orient == "v" else (line, t)
+            kind = geo.vertices.get(point)
+            if kind is None:
                 continue
-            if vertex.kind == trigger_kind and armed is None:
+            if kind == trigger_kind and armed is None:
                 armed = point
-            elif vertex.kind == bad_kind and armed is not None:
+            elif kind == bad_kind and armed is not None:
                 return DiagonalObstruction(reason, point)
     return None
 
@@ -507,8 +495,11 @@ def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
 
 
 def _delete_bottom_left(work: list[list[int]]) -> int:
-    # block_delete_bottom_left on a mutable copy, in place; returns the
-    # deleted label.
+    # Remove the rectangle at the bottom-left corner of a mutable copy of
+    # a drawing, in place, and return its label.  Either its neighbours
+    # to the right slide left or its neighbours above slide down; exactly
+    # one of the two keeps every remaining part a rectangle.  Only label
+    # equality is consulted, so any drawing convention works.
     nrows, ncols = len(work), len(work[0])
     bottom = work[-1]
     lab = bottom[0]
@@ -535,20 +526,6 @@ def _delete_bottom_left(work: list[list[int]]) -> int:
         for r in range(t, nrows):
             work[r][: rr + 1] = above
     return lab
-
-
-def block_delete_bottom_left(matrix: Matrix) -> tuple[int, Matrix]:
-    """Remove the rectangle at the bottom-left corner of the drawing.
-
-    Either its neighbours to the right slide left or its neighbours
-    above slide down; exactly one of the two keeps every remaining part
-    a rectangle.  Returns the removed label and the renormalised drawing
-    (same cell grid, one fewer rectangle).  Works on any drawing
-    convention since it never consults labels beyond equality.
-    """
-    work = [list(row) for row in matrix]
-    lab = _delete_bottom_left(work)
-    return lab, freeze_matrix(work)
 
 
 def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:

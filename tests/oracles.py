@@ -243,7 +243,7 @@ def slash_representative(grid) -> tuple:
     diagonal, as rho_prime(inverse(baxter_of(grid))).  The rectangle at
     anti-diagonal position m there corresponds to the rectangle
     baxter_of(grid)[m-1] here."""
-    return rho_prime(rf.inverse(rf.baxter_of(grid)))
+    return rho_prime(inverse(rf.baxter_of(grid)))
 
 
 def dumped_graph_json(fg) -> str:
@@ -539,6 +539,14 @@ def inversion_pairs(word: Word) -> frozenset[tuple[int, int]]:
     )
 
 
+def inverse(word: Word) -> Word:
+    """Inverse permutation: inverse(w)[w[i] - 1] == i + 1 for every 0-based i."""
+    out = [0] * len(word)
+    for pos, value in enumerate(word, start=1):
+        out[value - 1] = pos
+    return tuple(out)
+
+
 def adjacent_position_swap(word: Word, j: int) -> Word:
     """Exchange the entries at positions j and j+1 (1-based)."""
     if not 1 <= j < len(word):
@@ -677,10 +685,10 @@ def slash_consistency_problems(grid) -> list[str]:
     if rf.block_deletion_word(relabelled) != baxter:
         problems.append("deletion order after relabelling")
     back, ranks = canonicalize(reflect_rows(slash))
-    if back.matrix != rf.rho(rf.inverse(baxter)).matrix:
+    if back.matrix != rf.rho(inverse(baxter)).matrix:
         problems.append("reflected drawing")
     if any(ranks[k] != k for k in ident):
         problems.append("reflected labels not fixed")
-    if rf.baxter_of(back) != rf.inverse(baxter):
+    if rf.baxter_of(back) != inverse(baxter):
         problems.append("inverse reading")
     return problems

@@ -6,7 +6,6 @@ import rectflip as rf
 from rectflip.bijection import (
     FIBER_CAP,
     baxter_of,
-    block_delete_bottom_left,
     block_deletion_word,
     fiber,
     rightmost_of,
@@ -14,7 +13,7 @@ from rectflip.bijection import (
     unique_class_member,
 )
 from rectflip.permutation import avoids_class, contains_vincular
-from rectflip.rectangulation import rho
+from rectflip.rectangulation import _delete_bottom_left, rho
 
 from oracles import (
     antidiagonal_reading,
@@ -36,7 +35,7 @@ def test_fiber_of_worked_example():
         (4, 6, 5, 1, 3, 7, 2),
     }
     assert len(fib) == 3
-    assert fib.sorted_members()[0] == (4, 1, 6, 5, 3, 7, 2)
+    assert min(fib.members) == (4, 1, 6, 5, 3, 7, 2)
 
 
 def test_fiber_sizes_partition_factorial():
@@ -76,12 +75,12 @@ def test_eight_rectangle_fiber():
 
 
 def test_block_deletion_single_steps():
-    lab, rest = block_delete_bottom_left(((1, 2), (1, 2)))
-    assert lab == 1 and rest == ((2, 2), (2, 2))
-    lab, rest = block_delete_bottom_left(((1, 1), (2, 2)))
-    assert lab == 2 and rest == ((1, 1), (1, 1))
+    work = [[1, 2], [1, 2]]
+    assert _delete_bottom_left(work) == 1 and work == [[2, 2], [2, 2]]
+    work = [[1, 1], [2, 2]]
+    assert _delete_bottom_left(work) == 2 and work == [[1, 1], [1, 1]]
     with pytest.raises(ValueError):
-        block_delete_bottom_left(((1,),))
+        _delete_bottom_left([[1]])
 
 
 def test_block_deletion_words_of_cuts():

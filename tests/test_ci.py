@@ -1,0 +1,39 @@
+import subprocess
+import sys
+from pathlib import Path
+
+CHECK = Path(__file__).resolve().parents[1] / "ci" / "check_expected_failures.py"
+
+PASSED = '<testcase classname="tests.test_a" name="test_ok" time="0.1"/>'
+SKIPPED = (
+    '<testcase classname="tests.test_a" name="test_gone" time="0.0">'
+    '<skipped message="no reason"/></testcase>'
+)
+
+
+def check(tmp_path, cases):
+    junit = tmp_path / "junit.xml"
+    junit.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites>'
+        f'<testsuite name="pytest" tests="{len(cases)}">{"".join(cases)}</testsuite>'
+        "</testsuites>"
+    )
+    done = subprocess.run(
+        [sys.executable, str(CHECK), str(junit)], capture_output=True, text=True
+    )
+    return done.returncode, done.stdout
+
+
+def test_passing_run_passes(tmp_path):
+    assert check(tmp_path, [PASSED]) == (0, "1 tests, 0 failed, 0 skipped\n")
+
+
+def test_skipped_test_fails_the_run(tmp_path):
+    assert check(tmp_path, [PASSED, SKIPPED]) == (
+        1,
+        "2 tests, 0 failed, 1 skipped\nskipped: tests.test_a::test_gone\n",
+    )
+
+
+def test_empty_run_fails(tmp_path):
+    assert check(tmp_path, []) == (1, "0 tests, 0 failed, 0 skipped\nno test ran\n")

@@ -186,6 +186,22 @@ def test_render_validates_the_loaded_grid_once(monkeypatch):
     assert calls == expected
 
 
+def test_render_draws_each_interior_edge_once(monkeypatch):
+    # Each edge is drawn by interior_edges and classified from that
+    # drawing, not redrawn to check that it is interior.
+    calls = []
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    real = rectangulation.GridRectangulation.find_edge
+    monkeypatch.setattr(rectangulation.GridRectangulation, "find_edge", counting)
+    code, out, _ = run(["render", "--svg", "-"], GRID_7)
+    assert code == 0 and out.count("<title>") == len(FLIPS_7.splitlines()) == 13
+    assert len(calls) == len(set(calls)) == 13
+
+
 def test_perms_respects_fiber_cap():
     code, out, err = run(["perms"], grid_text(tuple(range(1, 12))))
     assert (code, out) == (2, "")

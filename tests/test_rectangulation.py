@@ -219,8 +219,7 @@ def test_bounding_boxes_match_minmax_oracle(matrix):
 
 def test_geometry_of_vertical_cut():
     matrix = ((1, 2), (1, 2))
-    geo = geometry(matrix)
-    kinds = {point: v.kind for point, v in geo.vertices.items()}
+    kinds = geometry(matrix).vertices
     assert kinds[(0, 0)] == "corner" and kinds[(2, 2)] == "corner"
     assert kinds[(0, 1)] == "stem_down" and kinds[(2, 1)] == "stem_up"
     [edge] = [e for e in swept_edges(matrix) if 0 < e.line < 2]
