@@ -27,14 +27,20 @@ from .flipgraph import (
     verify_theorem_lr,
     verify_theorem_main,
 )
-from .flips import EdgeUnflippable, FlipKind, _edge_recuts, edge_flips, flip
+from .flips import EdgeUnflippable, FlipKind, _edge_recuts, flip
 from .permutation import (
     CLASSES_BY_NAME,
     enumerate_avoiders,
     format_permutation,
     parse_permutation,
 )
-from .rectangulation import GridRectangulation, Matrix, NotRectangularError, rho
+from .rectangulation import (
+    GridRectangulation,
+    Matrix,
+    NotRectangularError,
+    block_deletion_word,
+    rho,
+)
 
 MAX_GRAPH_N = 8
 
@@ -66,6 +72,8 @@ def parse_grid(text: str) -> Matrix:
         if not line:
             continue
         try:
+            if not line.isascii() or "_" in line:  # int() reads other digits and 1_0
+                raise ValueError
             rows.append(tuple(int(tok) for tok in line.split()))
         except ValueError:
             raise ValueError(f"bad grid row: {line!r}") from None
@@ -199,10 +207,9 @@ def cmd_perms(args) -> int:
 
 def cmd_flips(args) -> int:
     grid = _load_grid(args.grid)
-    for edge, flip_class, result in edge_flips(grid):
-        word = "-"
-        if result is not None:
-            word = format_permutation(baxter_of(result[0]))
+    for edge, flip_class, recut in _edge_recuts(grid):
+        # each result is named by its recut's Baxter word, undrawn
+        word = "-" if recut is None else format_permutation(block_deletion_word(recut))
         print(f"{grid.edge_id(edge)}  {flip_class}  {word}")
     return 0
 

@@ -31,9 +31,10 @@ from .permutation import (
 )
 from .rectangulation import (
     GridRectangulation,
-    _canonical_word,
+    _peel,
     _run_box,
-    extraction_word,
+    block_deletion_word,
+    peel_predecessors,
     rho,
 )
 
@@ -66,9 +67,9 @@ class FlipGraph:
 def build(n: int) -> FlipGraph:
     """Flip graph on every drawing of size n.
 
-    Each flip result is keyed by the Baxter word read off its recut,
-    without drawing the result; a word that is not a node raises
-    KeyError.  The verification suites check the keys against the
+    Each flip result is keyed by the Baxter word read off its recut, one
+    corner deletion and no drawing per flip; a word that is not a node
+    raises KeyError.  The verification suites check the keys against the
     permutation side independently.
     """
     words = enumerate_avoiders(n, BAXTER)
@@ -79,7 +80,7 @@ def build(n: int) -> FlipGraph:
     for w, grid in grids.items():
         for _, flip_class, recut in _edge_recuts(grid):
             if flip_class.flippable:
-                directed[w, key_of[_canonical_word(recut)[0]], flip_class.kind] += 1
+                directed[w, key_of[block_deletion_word(recut)], flip_class.kind] += 1
     edges: dict[Pair, dict[FlipKind, int]] = {}
     for (w, w2, kind), count in directed.items():
         assert directed[w2, w, kind] == count
@@ -375,8 +376,8 @@ def verify_inversion(n: int) -> VerificationReport:
     fibers = 0
     for grid, members, masks in _drawn(groups):
         fibers += 1
-        lo = extraction_word(grid, "leftmost")
-        hi = extraction_word(grid, "rightmost")
+        preds = peel_predecessors(grid)
+        lo, hi = _peel(preds, "leftmost"), _peel(preds, "rightmost")
         tag = f"fiber of {format_permutation(lo)}"
         if lo not in members or hi not in members:
             failures.append(f"{tag}: extraction words are not members")

@@ -20,7 +20,7 @@ from .rectangulation import (
     GridRectangulation,
     Matrix,
     Rect,
-    _canonical_word,
+    block_deletion_word,
     diagonal_obstruction,
     freeze_matrix,
     rho,
@@ -124,6 +124,8 @@ def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix |
     # A simple edge's box holds the diagonal cells of a and a + 1, so
     # the recut at coordinate a leaves each rectangle its own diagonal
     # cell: a canonical drawing that no obstruction scan need check.
+    # Law-Reading recuts are canonical too, and every flippable recut
+    # keeps each label's place on the diagonal (notes/decisions.md).
     if edge.matched_count == 0:
         return FlipClass(FlipKind.SIMPLE), _recut(grid, edge, grid.edge_labels(edge)[0])
     if edge.matched_count == 2:
@@ -162,10 +164,9 @@ def _flip(
     grid: GridRectangulation, edge: Edge, recut: Matrix
 ) -> tuple[GridRectangulation, Edge]:
     # Flip a flippable edge, given the recut that classifying it returned.
-    sigma, ranks = _canonical_word(recut)
-    flipped = rho(sigma)
-    a, b = grid.edge_labels(edge)
-    new_edge = flipped.find_edge(ranks[a], ranks[b])
+    # Its labels are already canonical: a and b keep their names.
+    flipped = rho(block_deletion_word(recut))
+    new_edge = flipped.find_edge(*grid.edge_labels(edge))
     assert new_edge.orient != edge.orient
     return flipped, new_edge
 
@@ -184,46 +185,29 @@ def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge
     return _flip(grid, edge, recut)
 
 
-def sorted_edges(grid: GridRectangulation) -> list[Edge]:
-    """Interior edges ordered by their two labels, then orientation.
-
-    The order of every per-edge listing: ``neighbors``, ``rectflip
-    flips`` and the lines of an SVG rendering.
-    """
-    return sorted(grid.interior_edges(), key=lambda e: (*grid.edge_labels(e), e.orient))
-
-
 def _edge_recuts(
     grid: GridRectangulation,
 ) -> Iterator[tuple[Edge, FlipClass, Matrix | None]]:
-    # Every interior edge in sorted_edges order, its class and, if it is
-    # flippable, its recut: a drawing of the flip result with the
-    # input's labels, free of diagonal obstructions.
-    for edge in sorted_edges(grid):
+    # Every interior edge, its class and, if it is flippable, its recut:
+    # a drawing of the flip result with the input's labels, free of
+    # diagonal obstructions.  Edges are ordered by their two labels,
+    # then orientation, in neighbors, rectflip flips and SVG renderings.
+    edges = grid.interior_edges()
+    for edge in sorted(edges, key=lambda e: (*grid.edge_labels(e), e.orient)):
         yield edge, *_classify(grid, edge)
-
-
-def edge_flips(
-    grid: GridRectangulation,
-) -> Iterator[tuple[Edge, FlipClass, tuple[GridRectangulation, Edge] | None]]:
-    """Every interior edge, its class and, if flippable, its flip.
-
-    Edges come in :func:`sorted_edges` order.  Each edge is classified
-    once, and flips the recut that its classification returned.
-    """
-    for edge, flip_class, recut in _edge_recuts(grid):
-        yield edge, flip_class, _flip(grid, edge, recut) if flip_class.flippable else None
 
 
 def neighbors(
     grid: GridRectangulation,
 ) -> list[tuple[GridRectangulation, FlipClass, Edge]]:
-    """Flip results over all flippable edges, in :func:`sorted_edges` order.
+    """Flip results over all flippable edges, ordered by their two labels.
 
-    Each result is drawn as a canonical grid.  :func:`rectflip.flipgraph.build`
-    does not call this: it keys each result by its Baxter word, undrawn.
+    Each edge is classified once and its result drawn as a canonical grid
+    from the recut its classification returned; ``flipgraph.build`` and
+    ``rectflip flips`` name each result by that recut's Baxter word, undrawn.
     """
-    return [(f[0], fc, e) for e, fc, f in edge_flips(grid) if f is not None]
+    recuts = _edge_recuts(grid)
+    return [(_flip(grid, e, r)[0], fc, e) for e, fc, r in recuts if fc.flippable]
 
 
 def law_reading_edges(grid: GridRectangulation) -> frozenset[Edge]:

@@ -57,15 +57,12 @@ def parse_permutation(text: str) -> Word:
     text = text.strip()
     if not text:
         raise ValueError("empty permutation")
-    if "," in text:
-        try:
-            word = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"bad permutation text: {text!r}") from None
-    else:
-        if not text.isdecimal():
-            raise ValueError(f"bad permutation text: {text!r}")
-        word = tuple(int(ch) for ch in text)
+    try:
+        if not text.isascii() or "_" in text:  # int() reads other digits and 1_0
+            raise ValueError
+        word = tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"bad permutation text: {text!r}") from None
     check_word(word)
     return word
 

@@ -476,7 +476,11 @@ def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
     """
     if rule not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown extraction rule: {rule}")
-    preds = peel_predecessors(grid)
+    return _peel(peel_predecessors(grid), rule)
+
+
+def _peel(preds: list[int], rule: str) -> Word:
+    # extraction_word(grid, rule), given peel_predecessors(grid).
     n = len(preds)
     # Each step peels the first free label of this preference order.
     pending = list(range(n - 1, -1, -1) if rule == "leftmost" else range(n))
@@ -536,7 +540,9 @@ def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:
     Baxter member, which the test suite pins against the fiber filter
     :func:`rectflip.bijection.unique_class_member`.  The word is also a
     complete invariant of the drawing's equivalence class under wall
-    slides.
+    slides.  On the row-reflected drawing it deletes top-left corners,
+    which lists a canonical grid or any flippable recut as 1..n
+    (notes/decisions.md, "A recut keeps its labels' diagonal order").
     """
     work = [list(row) for row in matrix]
     count = len({lab for row in work for lab in row})
@@ -552,6 +558,9 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
     to canonical labels.  Raises :class:`ValueError` when the input is
     ragged or some label does not fill a rectangle, and its subclass
     :class:`NotDiagonalError` when the rectangulation is not diagonal.
+    Deleting top-left corners ranks the labels by their place on the
+    diagonal, and the ranked bottom-left deletion word draws the grid.
+    Flips skip the ranking: a recut's labels are their own ranks.
     """
     matrix = freeze_matrix(matrix)
     if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
@@ -560,23 +569,9 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
     violation = diagonal_obstruction(matrix)
     if violation is not None:
         raise NotDiagonalError(violation)
-    sigma, rank = _canonical_word(matrix)
-    return rho(sigma), rank
-
-
-def _canonical_word(matrix: Matrix) -> tuple[Word, dict[int, int]]:
-    # The Baxter word of a matrix that its caller has already found free
-    # of diagonal obstructions, and the rank of each of its labels; the
-    # canonical drawing is rho of the word.  Deleting top-left corners
-    # ranks the labels so that, on a canonical drawing, label i has rank
-    # i; that is bottom-left deletion of the row-reflected drawing.
-    # Bottom-left deletion of the drawing itself, ranked, is the word.
-    rank = {
-        lab: i for i, lab in enumerate(block_deletion_word(reflect_rows(matrix)), 1)
-    }
-    sigma = tuple(rank[lab] for lab in block_deletion_word(matrix))
-    check_word(sigma)
-    return sigma, rank
+    ranked = block_deletion_word(reflect_rows(matrix))
+    rank = {lab: i for i, lab in enumerate(ranked, 1)}
+    return rho(tuple(rank[lab] for lab in block_deletion_word(matrix))), rank
 
 
 def reflect_rows(matrix: Matrix) -> Matrix:

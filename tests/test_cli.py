@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rectflip as rf
 from rectflip import rectangulation
 from rectflip.cli import main, parse_grid, render_svg
-from rectflip.flipgraph import VerificationReport
+from rectflip.flipgraph import VerificationReport, build
 from rectflip.rectangulation import rho
 
 
@@ -110,7 +112,9 @@ def test_map_rejects_non_permutation():
 
 
 def test_map_rejects_superscript_digits():
-    assert run(["map", "²1"]) == (2, "", "bad permutation text: '²1'\n")
+    # int() would read fullwidth and Arabic-Indic digits and 1_0 as 10.
+    for text in ("²1", "１２", "٢١", "2,1_0,3,4,5,6,7,8,9,1"):
+        assert run(["map", text]) == (2, "", f"bad permutation text: {text!r}\n")
 
 
 def test_perms_of_worked_example():
@@ -131,6 +135,42 @@ def test_perms_of_eight_rectangle_example():
 
 def test_flips_table_of_worked_example():
     assert run(["flips"], GRID_7) == (0, FLIPS_7, "")
+
+
+def _listed_flips_match_drawn_flips(grid):
+    # rectflip flips names each result by its recut's Baxter word without
+    # drawing it; flipping the edge draws the same result, and the new
+    # edge separates the same two labels.
+    code, out, _ = run(["flips"], str(grid) + "\n")
+    assert code == 0
+    edges = {grid.edge_id(e): e for e in grid.interior_edges()}
+    flipped = 0
+    for line in out.splitlines():
+        edge_id, _, word = line.split()
+        if word == "-":
+            continue
+        result, new_edge = rf.flip(grid, edges[edge_id])
+        assert word == rf.format_permutation(rf.baxter_of(result))
+        assert result.edge_labels(new_edge) == grid.edge_labels(edges[edge_id])
+        flipped += 1
+    return flipped
+
+
+def test_flips_listing_matches_drawn_flips():
+    for n in range(1, 6):
+        listed = sum(
+            _listed_flips_match_drawn_flips(rho(w))
+            for w in rf.enumerate_avoiders(n, rf.BAXTER)
+        )
+        # every flip, once from each end
+        assert listed == 2 * sum(sum(tags.values()) for tags in build(n).edges.values())
+
+
+@given(
+    st.integers(6, 24).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
+)
+def test_flips_listing_matches_drawn_flips_on_large_drawings(word):
+    _listed_flips_match_drawn_flips(rho(word))
 
 
 def test_flip_and_flip_back():
@@ -169,6 +209,13 @@ def test_perms_rejects_malformed_grid():
     code, out, err = run(["perms"], "1 2\n2 1\n")
     assert (code, out) == (2, "")
     assert err == "invalid rectangulation: label 1 does not fill a rectangle\n"
+    code, out, err = run(["perms"], "١ ٢\n1 2\n")
+    assert (code, out) == (2, "")
+    assert err == "invalid rectangulation: bad grid row: '١ ٢'\n"
+    # a negative label is a number, so the drawing is read and refused
+    code, out, err = run(["perms"], "-1 -1\n2 2\n")
+    assert (code, out) == (3, "")
+    assert err == "not a canonical diagonal drawing: labels must be exactly 1..n\n"
 
 
 def test_render_validates_the_loaded_grid_once(monkeypatch):

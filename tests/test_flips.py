@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rectflip as rf
 from rectflip.bijection import baxter_of
@@ -18,9 +20,10 @@ from rectflip.flips import (
 )
 from rectflip.rectangulation import (
     GridRectangulation,
-    _canonical_word,
+    block_deletion_word,
     diagonal_obstruction,
     geometry,
+    reflect_rows,
     rho,
 )
 
@@ -321,13 +324,14 @@ def test_recut_matches_cell_oracle():
 
 
 def test_simple_recuts_are_canonical():
-    # _canonical_word ranks every label of every flippable recut as
-    # itself, which notes/decisions.md does not prove yet.  Simple and
-    # Law-Reading recuts are canonical drawings; in a Barcelona recut one
-    # of the two rectangles covers both of their diagonal cells.
+    # Top-left corner deletion ranks every label of every flippable
+    # recut as itself (notes/decisions.md, "A recut keeps its labels'
+    # diagonal order").  Simple and Law-Reading recuts are canonical
+    # drawings; in a Barcelona recut one of the two rectangles covers
+    # both of their diagonal cells.
     checked = 0
     for n in range(2, 7):
-        identity = {i: i for i in range(1, n + 1)}
+        identity = tuple(range(1, n + 1))
         for g in grids(n):
             for e in g.interior_edges():
                 flip_class, recut = _classify(g, e)
@@ -336,15 +340,46 @@ def test_simple_recuts_are_canonical():
                 if not flip_class.flippable:
                     continue
                 assert diagonal_obstruction(recut) is None
-                sigma, ranks = _canonical_word(recut)
-                assert ranks == identity
+                assert block_deletion_word(reflect_rows(recut)) == identity
                 a, b = g.edge_labels(e)
                 if flip_class.kind is FlipKind.ROTATION_BARCELONA:
                     assert recut[a - 1][a - 1] == recut[b - 1][b - 1]
                 else:
+                    sigma = block_deletion_word(recut)
                     assert rho(sigma) == GridRectangulation(recut)
                 checked += 1
     assert checked == 3674
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
+)
+def test_recut_ranks_are_the_identity_on_large_drawings(word):
+    g = rho(word)
+    identity = tuple(range(1, g.n + 1))
+    for e in g.interior_edges():
+        flip_class, recut = _classify(g, e)
+        if flip_class.flippable:
+            assert block_deletion_word(reflect_rows(recut)) == identity
+
+
+def test_build_deletes_corners_once_per_flip(monkeypatch):
+    # Each directed flip of build(5) reads one Baxter word off its
+    # recut and ranks nothing.
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    real = rf.rectangulation.block_deletion_word
+    for module in (rf.rectangulation, rf.flips, rf.flipgraph, rf.bijection):
+        if hasattr(module, "block_deletion_word"):
+            monkeypatch.setattr(module, "block_deletion_word", counting)
+    fg = build.__wrapped__(5)
+    assert sum(sum(tags.values()) for tags in fg.edges.values()) == 262
+    assert len(calls) == 524
 
 
 def test_neighbors_listing():
