@@ -1,5 +1,6 @@
-"""Fail when build(7), grouping S_8, verify_inversion(8) or enumerating
-the Baxter permutations of size 10 needs more memory than its budget.
+"""Fail when build(7), grouping S_8, verify_inversion(8), verify_inversion(9)
+or enumerating the Baxter permutations of size 10 needs more memory than
+its budget.
 
 Each check runs in a fresh child process, which prints its own peak
 resident set size when its work is done.  Exits 0 when every peak is at
@@ -16,16 +17,28 @@ _fibers(8) groups all 40,320 words of size 8 into the 10,754 fibers of
 rho.  Its budget, 26 MB, sits between the 19-23 MB it peaked at when the
 words were keyed by the bytes of their boxes, with one grid drawn per
 fiber as the fibers are consumed, and the 29-33 MB it took when every
-word was drawn and keyed by its matrix.  The walk that now also gives
-each word's inversion mask, keeping the words as bytes, peaks at
-23.2 MB, against 22.7 MB for the keying alone (Python 3.11.7).
+word was drawn and keyed by its matrix.  The prefix walk of S_8 that
+groups them keeps each word as bytes under its fiber's key and nothing
+else, and peaks at 20.1 MB; it peaked at 23.2 MB while it also kept
+each word's inversion mask (Python 3.11.7).
 
 verify_inversion(8) checks that each of those 10,754 fibers is a
-weak-order interval.  Its budget, 32 MB, sits between the 24-28 MB it
-peaks at when it takes each word's inversion mask from that walk (24.3,
-27.9, 26.4 and 26.7 MB on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0),
-and the 34.3 MB it took on Python 3.11.7 when every word's mask was
-computed on its own and held in a dict keyed by the word.
+weak-order interval.  It walks each fiber's interval up from its lower
+extreme and compares the words reached with the fiber's members, so
+beside the grouping it holds only sets the size of one fiber.  Its
+budget, 32 MB, sits above the 21-25 MB it peaks at now (21.2, 25.1,
+23.4 and 23.3 MB on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0) and
+below the 34.3 MB it took on Python 3.11.7 when every word's mask was
+computed on its own and held in a dict keyed by the word.  Sizing each
+interval by a popcount over n!-bit bitsets, one per value pair, peaked
+at 24-28 MB (28.2 MB on Python 3.11.7).
+
+verify_inversion(9) runs the same check on the 58,202 fibers of the
+362,880 words of size 9.  Its budget, 85 MB, sits between the
+68-73 MB the walk peaks at (67.9, 72.0, 70.4 and 70.3 MB on Python
+3.10.13, 3.11.7, 3.12.1 and 3.13.0) and the 96.4 MB that the n!-bit
+bitsets took on Python 3.11.7, so the bitsets would fail it.  It takes
+5-13 s, the slowest check here; the bitsets took 34 s.
 
 enumerate_avoiders(10, BAXTER) lists all 326,240 Baxter permutations of
 size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when
@@ -60,6 +73,13 @@ CHECKS = (
         "from rectflip.flipgraph import verify_inversion; "
         "report = verify_inversion(8); "
         "assert report.ok and report.checked == 10754",
+    ),
+    (
+        "verify_inversion(9)",
+        85.0,
+        "from rectflip.flipgraph import verify_inversion; "
+        "report = verify_inversion(9); "
+        "assert report.ok and report.checked == 58202",
     ),
     (
         "enumerate_avoiders(10, BAXTER)",

@@ -11,7 +11,6 @@ tautology.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -19,7 +18,7 @@ from typing import Iterator
 
 from .bijection import baxter_of
 from .flips import FlipKind, _edge_recuts
-from .order import between, drec_covers, pair_bitsets
+from .order import drec_covers
 from .permutation import (
     BAXTER,
     RIGHTMOST,
@@ -266,65 +265,47 @@ def _grid_key(grid: GridRectangulation) -> bytes:
     return bytes(itertools.chain.from_iterable(boxes))
 
 
-Groups = dict[bytes, tuple[list[bytes], list[int]]]
-
-
-def _group(n: int) -> Groups:
-    # Every permutation of size n, as bytes, and its inversion mask,
-    # grouped by the boxes rho draws for it, in lexicographic order.  The
-    # walk extends a prefix by one unplaced value at a time.  The values
-    # placed after that value are exactly the unplaced ones, so its box
-    # is fixed then and is written into the prefix's key; its inversions
-    # are its pairs with the smaller unplaced values, one shifted run of
-    # bits.
-    groups: Groups = {}
+def _group(n: int) -> dict[bytes, list[bytes]]:
+    # Every permutation of size n, as bytes, grouped by the boxes rho
+    # draws for it, in lexicographic order.  The walk extends a prefix by
+    # one unplaced value at a time.  The values placed after that value
+    # are exactly the unplaced ones, so its box is fixed then and is
+    # written into the prefix's key.
+    groups: dict[bytes, list[bytes]] = {}
     key = bytearray(4 * n)
     word = bytearray(n)
     full = (1 << n) - 1
-    pair_base = [d * (d - 1) // 2 for d in range(n)]
 
-    def place(k: int, placed: int, mask: int) -> None:
-        unplaced = free = full ^ placed
+    def place(k: int, placed: int) -> None:
+        free = full ^ placed
         while free:
             bit = free & -free
             free ^= bit
             d = bit.bit_length() - 1
             key[4 * d : 4 * d + 4] = _run_box(d, placed, n)
             word[k] = d + 1
-            grown = mask | (unplaced & bit - 1) << pair_base[d]
             if k + 1 < n:
-                place(k + 1, placed | bit, grown)
+                place(k + 1, placed | bit)
                 continue
-            group = groups.get(bytes(key))
-            if group is None:
-                group = groups[bytes(key)] = ([], [])
-            group[0].append(bytes(word))
-            group[1].append(grown)
+            groups.setdefault(bytes(key), []).append(bytes(word))
 
-    place(0, 0, 0)
+    place(0, 0)
     return groups
 
 
-def _fibers(n: int) -> Iterator[tuple[GridRectangulation, list[Word], list[int]]]:
-    # The fibers of rho on S_n, each with its members' inversion masks,
-    # in order of first member.
-    yield from _drawn(_group(n))
-
-
-def _drawn(
-    groups: Groups,
-) -> Iterator[tuple[GridRectangulation, list[Word], list[int]]]:
-    # Each fiber's grid is drawn once, from its first member, and must
-    # have exactly the boxes it was grouped by.  Grids and member tuples
-    # are made as the fibers are consumed.
-    for key, (members, masks) in groups.items():
+def _fibers(n: int) -> Iterator[tuple[GridRectangulation, list[Word]]]:
+    # The fibers of rho on S_n, in order of first member.  Each fiber's
+    # grid is drawn once, from its first member, and must have exactly
+    # the boxes it was grouped by.  Grids and member tuples are made as
+    # the fibers are consumed.
+    for key, members in _group(n).items():
         members = list(map(tuple, members))
         grid = rho(members[0])
         if _grid_key(grid) != key:
             raise RuntimeError(
                 f"rho draws {format_permutation(members[0])} off its run boxes"
             )
-        yield grid, members, masks
+        yield grid, members
 
 
 def verify_counts(n: int) -> VerificationReport:
@@ -337,7 +318,7 @@ def verify_counts(n: int) -> VerificationReport:
     """
     fg = build(n)
     failures = []
-    distinct = {_grid_key(grid) for grid, _, _ in _fibers(n)}
+    distinct = {_grid_key(grid) for grid, _ in _fibers(n)}
     node_keys = {_grid_key(grid) for grid in fg.grids.values()}
     if len(fg.nodes) != len(distinct):
         failures.append(
@@ -359,40 +340,47 @@ def verify_counts(n: int) -> VerificationReport:
 def verify_inversion(n: int) -> VerificationReport:
     """Fibers are weak-order intervals with the stated extremes and members.
 
-    For every drawing: the leftmost extraction word is the weak-order
-    minimum of its fiber, the rightmost the maximum, the fiber is the
-    full interval between them, and each of the three pattern classes
-    contributes exactly one member.  Interval sizes are popcounts of
-    bitset intervals over all of S_n.  The inversion masks come from the
-    walk that groups S_n into fibers.
+    For every drawing: the leftmost extraction word lo and the rightmost
+    hi are members of its fiber, the fiber is exactly the weak-order
+    interval [lo, hi], and each of the three pattern classes contributes
+    exactly one member.  The interval is walked up from lo, swapping
+    adjacent letters x < y to y, x only where y comes before x in hi;
+    when lo lies below hi, that reaches all of [lo, hi] and nothing else
+    (notes/decisions.md, "A fiber is checked by walking its interval").
     """
-    groups = _group(n)
-    bitsets = pair_bitsets([m for _, masks in groups.values() for m in masks])
     classes = {
         pclass: set(enumerate_avoiders(n, pclass))
         for pclass in (BAXTER, TWISTED_BAXTER, RIGHTMOST)
     }
     failures = []
     fibers = 0
-    for grid, members, masks in _drawn(groups):
+    for grid, members in _fibers(n):
         fibers += 1
         preds = peel_predecessors(grid)
         lo, hi = _peel(preds, "leftmost"), _peel(preds, "rightmost")
         tag = f"fiber of {format_permutation(lo)}"
-        if lo not in members or hi not in members:
+        fiber = set(members)
+        if lo not in fiber or hi not in fiber:
             failures.append(f"{tag}: extraction words are not members")
             continue
-        lo_mask = masks[members.index(lo)]
-        hi_mask = masks[members.index(hi)]
-        for m, mask in zip(members, masks):
-            if lo_mask & ~mask or mask & ~hi_mask:
-                failures.append(
-                    f"{tag}: {format_permutation(m)} is not between the extremes"
-                )
-        interval = between(bitsets, math.factorial(n), lo_mask, hi_mask).bit_count()
-        if interval != len(members):
+        rank = {v: i for i, v in enumerate(hi)}
+        walked, todo = set(), [lo]
+        while todo:
+            w = todo.pop()
+            if w not in walked:
+                walked.add(w)
+                for i in range(n - 1):
+                    x, y = w[i], w[i + 1]
+                    if x < y and rank[y] < rank[x]:
+                        todo.append(w[:i] + (y, x) + w[i + 2 :])
+        for w in sorted(fiber - walked):
             failures.append(
-                f"{tag}: {len(members)} members but interval size {interval}"
+                f"{tag}: {format_permutation(w)} is not between the extremes"
+            )
+        # Unless lo lies below hi, the walk misses hi and [lo, hi] is empty.
+        for w in sorted(walked - fiber) if hi in walked else ():
+            failures.append(
+                f"{tag}: {format_permutation(w)} is between the extremes but not a member"
             )
         for pclass, avoiders in classes.items():
             hits = [m for m in members if m in avoiders]

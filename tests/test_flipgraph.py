@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -22,8 +23,9 @@ from rectflip.flipgraph import (
     verify_theorem_main,
 )
 from rectflip.flips import FlipKind, neighbors
+from rectflip.order import between, inversion_mask, pair_bitsets
 from rectflip.permutation import consecutive_value_swap
-from rectflip.rectangulation import rho
+from rectflip.rectangulation import extraction_word, rho
 
 from oracles import bfs_diameter, brute_fibers, dumped_graph_json, matrix_keyed_build
 
@@ -243,15 +245,84 @@ def test_fibers_match_staircase_oracle():
     # Same fibers, yielded in the same order: by first member in
     # lexicographic order, each listing its members in that order.
     for n in range(1, 7):
-        fibers = [(grid.matrix, members) for grid, members, _ in flipgraph._fibers(n)]
+        fibers = [(grid.matrix, members) for grid, members in flipgraph._fibers(n)]
         assert [(m, set(ws)) for m, ws in fibers] == list(brute_fibers(n).items())
         assert all(members == sorted(members) for _, members in fibers)
 
 
-def test_fibers_carry_each_members_inversion_mask():
-    for n in range(1, 8):
-        for _, members, masks in flipgraph._fibers(n):
-            assert masks == [rf.inversion_mask(w) for w in members]
+def test_fibers_are_the_bitset_intervals_of_their_extraction_words():
+    # The popcount interval over all of S_n that verify_inversion once
+    # computed, kept as the oracle of its walk.
+    for n in range(1, 7):
+        words = list(itertools.permutations(range(1, n + 1)))
+        masks = [inversion_mask(w) for w in words]
+        bitsets = pair_bitsets(masks)
+        for grid, members in flipgraph._fibers(n):
+            lo = extraction_word(grid, "leftmost")
+            hi = extraction_word(grid, "rightmost")
+            found = between(bitsets, len(words), inversion_mask(lo), inversion_mask(hi))
+            assert found.bit_count() == len(members)
+            assert [w for k, w in enumerate(words) if found >> k & 1] == members
+
+
+def _verify_with_fiber(monkeypatch, edit):
+    # verify_inversion(5) with the members of the fiber of 21453, which
+    # are 21453, 24153 and 24513, replaced by edit(members).  The middle
+    # word avoids none of the three pattern classes, so only the
+    # interval check can see it go.
+    real = flipgraph._fibers
+
+    def edited(n):
+        for grid, members in real(n):
+            if members[0] == (2, 1, 4, 5, 3):
+                assert members == [(2, 1, 4, 5, 3), (2, 4, 1, 5, 3), (2, 4, 5, 1, 3)]
+                members = edit(members)
+            yield grid, members
+
+    monkeypatch.setattr(flipgraph, "_fibers", edited)
+    return verify_inversion(5)
+
+
+def test_inversion_reports_a_fiber_missing_a_word_of_its_interval(monkeypatch):
+    report = _verify_with_fiber(monkeypatch, lambda ms: [ms[0], ms[2]])
+    assert report.failures == (
+        "fiber of 21453: 24153 is between the extremes but not a member",
+    )
+
+
+def test_inversion_reports_a_fiber_holding_a_word_of_another_fiber(monkeypatch):
+    # 25143 lies in the fiber of 21543 and avoids no pattern class.  The
+    # fiber keeps its size, so only comparing sets catches the swap.
+    report = _verify_with_fiber(monkeypatch, lambda ms: [ms[0], (2, 5, 1, 4, 3), ms[2]])
+    assert report.failures == (
+        "fiber of 21453: 25143 is not between the extremes",
+        "fiber of 21453: 24153 is between the extremes but not a member",
+    )
+    assert report.checked == 92
+
+
+def test_inversion_reports_extremes_in_the_wrong_order(monkeypatch):
+    # With the extraction rules swapped, lo is the top of its fiber and
+    # hi the bottom.  The walk may only add inversions, so it stays at
+    # lo, and every other member is reported; a walk that also undid
+    # inversions would reach the whole fiber from its top.
+    real = flipgraph._peel
+
+    def swapped(preds, rule):
+        return real(preds, "rightmost" if rule == "leftmost" else "leftmost")
+
+    expected = []
+    for grid, members in flipgraph._fibers(4):
+        top = extraction_word(grid, "rightmost")
+        expected += [
+            f"fiber of {rf.format_permutation(top)}: "
+            f"{rf.format_permutation(m)} is not between the extremes"
+            for m in members
+            if m != top
+        ]
+    monkeypatch.setattr(flipgraph, "_peel", swapped)
+    assert verify_inversion(4).failures == tuple(expected)
+    assert len(expected) == 2
 
 
 def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
@@ -287,7 +358,7 @@ def test_value_swaps_over_all_words_join_pairs_that_are_not_flips():
         fg = build(n)
         nodes = set(fg.nodes)
         node_of = {}
-        for _, members, _ in flipgraph._fibers(n):
+        for _, members in flipgraph._fibers(n):
             (node,) = nodes.intersection(members)
             node_of.update(dict.fromkeys(members, node))
         swaps = {

@@ -163,9 +163,23 @@ def test_flips_leave_no_cache_on_graph_grids():
         assert vars(g).keys() == {"matrix", "rects"}
 
 
+def _rotation_kind(e):
+    # The class of an edge matched at one end, read off the edge alone
+    # (notes/decisions.md, "A recut keeps its labels' diagonal order"):
+    # Law-Reading unless it crosses the diagonal, and then Barcelona
+    # exactly when its pivot is one step from the diagonal.
+    if not e.crosses_diagonal:
+        return FlipKind.ROTATION_LR
+    if (e.start == e.line - 1) if e.matched_start else (e.end == e.line + 1):
+        return FlipKind.ROTATION_BARCELONA
+    return FlipKind.UNFLIPPABLE_ONE_MATCHED
+
+
 def test_crossing_behaviour_by_class():
     # Simple pieces and both rotation families sit on consecutive
-    # labels; crossing the diagonal separates Barcelona from LR.
+    # labels; crossing the diagonal separates Barcelona from LR, and the
+    # pivot's distance from the diagonal separates Barcelona from
+    # unflippable.
     for n in range(2, 6):
         for g in grids(n):
             for e in g.interior_edges():
@@ -175,12 +189,19 @@ def test_crossing_behaviour_by_class():
                     assert b == a + 1
                 if kind is FlipKind.SIMPLE:
                     assert e.crosses_diagonal
-                elif kind is FlipKind.ROTATION_BARCELONA:
-                    assert e.crosses_diagonal
-                elif kind is FlipKind.ROTATION_LR:
-                    assert not e.crosses_diagonal
-                elif kind is FlipKind.UNFLIPPABLE_ONE_MATCHED:
-                    assert e.crosses_diagonal
+                if e.matched_count == 1:
+                    assert kind is _rotation_kind(e)
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
+)
+def test_rotation_class_follows_the_edge_on_large_drawings(word):
+    g = rho(word)
+    for e in g.interior_edges():
+        if e.matched_count == 1:
+            assert _classify(g, e)[0].kind is _rotation_kind(e)
 
 
 def test_flip_is_an_involution():
