@@ -1,10 +1,12 @@
 """Fail when build(7), grouping S_8, verify_inversion(8), verify_inversion(9)
-or enumerating the Baxter permutations of size 10 needs more memory than
-its budget.
+or enumerating the Baxter or the separable permutations of size 10 needs
+more memory than its budget, or when either enumeration lists other
+words than it did before each prefix carried its forbidden slots.
 
 Each check runs in a fresh child process, which prints its own peak
 resident set size when its work is done.  Exits 0 when every peak is at
-most its budget and 1 otherwise, printing each measured peak.
+most its budget and 1 otherwise, printing each measured peak; a check
+whose answer is wrong fails its child process and stops the script.
 
     PYTHONPATH=src python3 ci/graph_memory.py
 
@@ -45,7 +47,14 @@ size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when
 the levels grow as bytes and the sorted last level is turned into tuples
 in place, and the 74-78 MB it takes when the tuples are built as a
 second list while the bytes are still held.  Growing the levels as
-tuples took 62-66 MB.
+tuples took 62-66 MB, and keeping each word of the last level in a pair
+with its forbidden-slot mask took 96.6 MB, so the last level carries no
+masks.  enumerate_avoiders(10, SEPARABLE) lists the 206,098 separable
+permutations of size 10 and peaks at 43.3 MB, under a 50 MB budget.
+Both checks also compare the SHA-256 of the words' bytes, joined in
+order, with the digest of the list that enumeration returned when it
+rebuilt every completing interval of every prefix.  The digest is taken
+after the peak is read, since importing hashlib alone adds about 3.7 MB.
 
 All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host.
 """
@@ -55,17 +64,21 @@ from __future__ import annotations
 import subprocess
 import sys
 
+# (name, budget in MB, code, SHA-256 of the words the code leaves in
+# ``words``, or None)
 CHECKS = (
     (
         "build(7)",
         40.0,
         "from rectflip.flipgraph import build; assert len(build(7).nodes) == 2074",
+        None,
     ),
     (
         "_fibers(8)",
         26.0,
         "from rectflip.flipgraph import _fibers; "
         "assert sum(1 for _ in _fibers(8)) == 10754",
+        None,
     ),
     (
         "verify_inversion(8)",
@@ -73,6 +86,7 @@ CHECKS = (
         "from rectflip.flipgraph import verify_inversion; "
         "report = verify_inversion(8); "
         "assert report.ok and report.checked == 10754",
+        None,
     ),
     (
         "verify_inversion(9)",
@@ -80,21 +94,43 @@ CHECKS = (
         "from rectflip.flipgraph import verify_inversion; "
         "report = verify_inversion(9); "
         "assert report.ok and report.checked == 58202",
+        None,
     ),
     (
         "enumerate_avoiders(10, BAXTER)",
         70.0,
         "from rectflip.permutation import BAXTER, enumerate_avoiders; "
-        "assert len(enumerate_avoiders(10, BAXTER)) == 326240",
+        "words = enumerate_avoiders(10, BAXTER); "
+        "assert len(words) == 326240",
+        "6c437337b79b50b326032badf26af512d3c12de54931f97c2a69d3051d5e2377",
+    ),
+    (
+        "enumerate_avoiders(10, SEPARABLE)",
+        50.0,
+        "from rectflip.permutation import SEPARABLE, enumerate_avoiders; "
+        "words = enumerate_avoiders(10, SEPARABLE); "
+        "assert len(words) == 206098",
+        "4720185d0e0a16a90727d4ec352669f51dd6e4c086ddc83c0c2a926285c52d83",
     ),
 )
 
 REPORT_PEAK = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 
+# Runs after the peak is printed: importing hashlib maps libcrypto, which
+# adds about 3.7 MB of resident memory.
+CHECK_DIGEST = """
+import hashlib
+found = hashlib.sha256()
+for word in words:
+    found.update(bytes(word))
+assert found.hexdigest() == {!r}
+"""
 
-def peak_mb(code: str) -> float:
+
+def peak_mb(code: str, digest: str | None) -> float:
+    after = "" if digest is None else CHECK_DIGEST.format(digest)
     out = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{REPORT_PEAK}"],
+        [sys.executable, "-c", f"{code}\n{REPORT_PEAK}\n{after}"],
         check=True,
         capture_output=True,
         text=True,
@@ -105,8 +141,8 @@ def peak_mb(code: str) -> float:
 
 def main() -> int:
     ok = True
-    for name, budget, code in CHECKS:
-        peak = peak_mb(code)
+    for name, budget, code, digest in CHECKS:
+        peak = peak_mb(code, digest)
         verdict = "ok" if peak <= budget else "over budget"
         print(f"{name} peak RSS {peak:.1f} MB, budget {budget:.0f} MB: {verdict}")
         ok = ok and peak <= budget

@@ -2,9 +2,9 @@
 
 Inversion sets are integer bitmasks, so one comparison is one mask
 test; a set of words is an integer bitset, and ANDs of one bitset per
-value pair give down-sets and intervals without a pairwise scan.  The
-restriction of the weak order to Baxter permutations is the lattice
-whose cover pairs drive the Law-Reading side of the flip taxonomy.
+value pair give down-sets without a pairwise scan.  The restriction of
+the weak order to Baxter permutations is the lattice whose cover pairs
+drive the Law-Reading side of the flip taxonomy.
 """
 
 from __future__ import annotations
@@ -40,19 +40,14 @@ def pair_bitsets(masks: Sequence[int]) -> list[int]:
     ]
 
 
-def between(bitsets: Sequence[int], size: int, lo_mask: int, hi_mask: int) -> int:
-    """The weak-order interval [lo, hi] among ``size`` masks, as a bitset.
+def down_set(bitsets: Sequence[int], size: int, mask: int) -> int:
+    """The weak-order down-set of ``mask`` among ``size`` masks, as a bitset.
 
-    ``bitsets`` is :func:`pair_bitsets` of the masks; the result is 0
-    when lo is not below hi.
+    ``bitsets`` is :func:`pair_bitsets` of the masks.
     """
-    if lo_mask >> len(bitsets):
-        return 0
     found = (1 << size) - 1
     for p, bits in enumerate(bitsets):
-        if lo_mask >> p & 1:
-            found &= bits
-        if not hi_mask >> p & 1:
+        if not mask >> p & 1:
             found &= ~bits
     return found
 
@@ -63,7 +58,7 @@ def covers_within(words: Iterable[Word]) -> set[tuple[Word, Word]]:
     A pair (lo, hi) is a cover when lo < hi and no third listed word
     lies strictly between.  With the distinct words indexed by
     inversion count, a word's lower covers come from its down-set bitset
-    (:func:`between`): take the top bit of the part below its count, a
+    (:func:`down_set`): take the top bit of the part below its count, a
     maximal word, and clear that word's down-set, until nothing is left.
     Of several words with one inversion set, only the first listed
     enters a cover, and none covers another.
@@ -72,7 +67,7 @@ def covers_within(words: Iterable[Word]) -> set[tuple[Word, Word]]:
     # reversed, so that of equal counts the first listed is on top
     items = sorted(reversed(masks.items()), key=lambda wm: wm[1].bit_count())
     bitsets = pair_bitsets([m for _, m in items])
-    down = [between(bitsets, len(items), 0, m) for _, m in items]
+    down = [down_set(bitsets, len(items), m) for _, m in items]
     covers: set[tuple[Word, Word]] = set()
     start = 0
     for i, (hi, m) in enumerate(items):

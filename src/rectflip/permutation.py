@@ -10,19 +10,22 @@ of an avoider is an avoider, and avoiders are grown one appended letter
 at a time, checking only the occurrences that end at the new letter.
 
 Every pattern of the five classes has the form a-bc-d or a-b-c-d with
-{b, c} = {1, 4}.  For such a pattern the letters that complete an
-occurrence when appended to a word fill a union of open value
-intervals, one per earlier letter, which ``_completing`` reads off the
-word.  Enumeration reads them once per prefix and builds only the
-children that avoid, and ``contains_vincular`` matches a whole word in
-one pass of ``_contains_block``, which keeps every interval as the word
-grows.  Any other pattern is matched by the backtracker of ``_ends_at``.
+{b, c} = {1, 4}.  For such a pattern enumeration hands each prefix's
+mask of completing slots down to its children: a child keeps its
+parent's slots and adds those completed through its own last letter,
+which can only be an occurrence's third letter.  ``contains_vincular``
+matches a whole word in one pass of ``_contains_block``, which keeps
+the open interval of completing letters of every earlier letter as the
+word grows.  Any other pattern is matched by the backtracker of
+``_ends_at``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 Word = tuple[int, ...]
 
@@ -143,60 +146,57 @@ def _in_block_family(pattern: VincularPattern) -> bool:
     return len(pat) == 4 and pattern.glued <= {2} and {pat[1], pat[2]} == {1, 4}
 
 
-def _completing(word: Sequence[int], pattern: VincularPattern) -> list[tuple[int, int]]:
-    """Open value intervals (lo, hi) such that a letter appended to word
-    completes an occurrence of the pattern iff it lies inside one of them.
+def _glued_slots(pattern: VincularPattern, b: int, v: int) -> int:
+    """The slots of a prefix's child at slot v, as a bit mask, that complete
+    an occurrence of the glued block-family pattern whose block is the
+    prefix's last letter b (0 for none), raised if it is >= v, and v.
 
-    Only for the block family (``_in_block_family``).  With every value
-    negated when the first pattern letter lies above the last, the letter
-    completes one iff word[i] < letter < H for some i, where H is the
-    largest high letter of a block after i whose low letter lies below
-    word[i].  ``notes/decisions.md`` derives H for each block shape.
-
-    >>> _completing((2, 1, 3), VincularPattern.from_dashed("2-14-3"))
-    [(2, 3)]
+    >>> bin(_glued_slots(VincularPattern.from_dashed("3-14-2"), 1, 4))
+    '0b1100'
     """
     pat = pattern.word
-    rising, negate = pat[1] < pat[2], pat[0] > pat[3]
-    if negate:
-        word = [-u for u in word]
-        rising = not rising
+    b += b >= v
+    if (b < v) != (pat[1] < pat[2]):
+        return 0
+    lo, hi = min(b, v), max(b, v)
+    return (1 << hi) - (2 << lo) if pat[0] > pat[3] else (2 << hi) - (4 << lo)
+
+
+def _unglued_slots(word: Sequence[int], pattern: VincularPattern) -> list[int]:
+    """Entry v, for v in 0..len(word) + 1: the slots at which the child of
+    word grown at slot v is completed by an occurrence of the unglued
+    block-family pattern through that child's last letter."""
+    pat = pattern.word
+    rising, above = pat[1] < pat[2], pat[0] > pat[3]
     p = len(word)
-    highs = []
-    if 2 in pattern.glued:
-        # Blocks are adjacent pairs (j, j + 1).
-        for i in range(p - 2):
-            a = h = word[i]
-            if rising:
-                for j in range(i + 1, p - 1):
-                    if word[j] < a and word[j + 1] > h:
-                        h = word[j + 1]
-            else:
-                for j in range(i + 1, p - 1):
-                    if word[j + 1] < a and word[j] > h:
-                        h = word[j]
-            highs.append(h)
-    elif rising:
-        # The first low letter after i leaves the most high letters after it.
-        for i in range(p - 2):
-            a = h = word[i]
-            for j in range(i + 1, p - 1):
-                if word[j] < a:
-                    h = max(word[j + 1 :])
-                    break
-            highs.append(h)
-    else:
-        # The last low letter after i leaves the most high letters before it.
-        for i in range(p - 2):
-            a = h = word[i]
-            for j in range(p - 1, i + 1, -1):
-                if word[j] < a:
-                    h = max(word[i + 1 : j])
-                    break
-            highs.append(h)
-    if negate:
-        return [(-h, -a) for a, h in zip(word, highs) if h > a]
-    return [(a, h) for a, h in zip(word, highs) if h > a]
+    table = [0] * (p + 2)
+    # Letter u, given a later letter below it when the block rises or
+    # above it when it falls, completes slots for every v above u or for
+    # every v up to u, so table[u + 1] or table[u] holds them and a
+    # running union over v gathers them.  Where v bounds the completing
+    # letters (2-1-4-3, 3-4-1-2) the union is clipped at v.
+    later = p + 1 if rising else 0  # the least or the greatest letter after u
+    for u in reversed(word):
+        if rising and later < u:
+            table[u + 1] |= (1 << u + 1) - (2 << later) if above else -(2 << u)
+        elif not rising and later > u:
+            table[u] |= (4 << u) - 1 if above else (4 << later) - (4 << u)
+        later = min(later, u) if rising else max(later, u)
+    acc = 0
+    for v in range(p + 2) if rising else range(p + 1, -1, -1):
+        acc |= table[v]
+        table[v] = acc & ((2 << v) - 1 if rising else -(2 << v)) if rising != above else acc
+    return table
+
+
+def _carry(mask: int, new: Sequence[int], slots: Iterable[int]) -> list[int]:
+    """The forbidden-slot masks of a prefix's children at the given slots.
+
+    The child at v keeps the prefix's mask with bit v duplicated, since
+    both of its slots v and v + 1 sit where slot v sat, and adds new[v],
+    the slots completed through its last letter v.
+    """
+    return [mask & (2 << v) - 1 | mask >> v << v + 1 | new[v] for v in slots]
 
 
 def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
@@ -230,13 +230,15 @@ def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
 
 
 def _contains_block(word: Sequence[int], pattern: VincularPattern) -> bool:
-    # contains_vincular for the block family, in one pass.  H is kept for
-    # every start i as the word grows by one letter x, negated as in
-    # _completing, and x is first tested against every (word[i], H).
-    # aux[i] is whether a low letter has come after i (unglued rising),
-    # or the largest of word[i] and the letters after it (unglued
-    # falling).  Enumeration keeps _completing, which computes each H
-    # from the whole prefix: it is faster once per prefix.
+    # contains_vincular for the block family, in one pass.  With every
+    # value negated when the first pattern letter lies above the last, x
+    # completes an occurrence iff word[i] < x < H for some start i, where
+    # H is the largest high letter of a block after i whose low letter
+    # lies below word[i] (notes/decisions.md).  H is kept for every start
+    # as the word grows by one letter x, and x is first tested against
+    # every (word[i], H).  aux[i] is whether a low letter has come after
+    # i (unglued rising), or the largest of word[i] and the letters after
+    # it (unglued falling).
     pat = pattern.word
     rising, negate = pat[1] < pat[2], pat[0] > pat[3]
     if negate:
@@ -304,32 +306,46 @@ def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
     1..k raises every entry >= v and appends v.  Every standardised
     prefix of an avoider is an avoider, so this misses none, and a
     prefix holds no occurrence, so only occurrences ending at v count.
-    For each pattern of the block family, ``_completing`` gives once per
-    prefix the intervals (lo, hi) of letters that complete one; slot v
-    is forbidden when lo < v - 1/2 < hi, and only the free slots get a
-    child.  Any other pattern is checked on each child with the
+    Each prefix carries a mask of the slots that complete an occurrence
+    of a block-family pattern, and only its free slots get a child.  A
+    child's mask is its parent's, carried by ``_carry``, plus the slots
+    completed through its last letter: O(1) for a glued pattern, which
+    sees only the letter before it, and an O(k) table per prefix for an
+    unglued one.  Any other pattern is checked on each child with the
     backtracker of ``_ends_at``.  Words are bytes, which sort as tuples
-    do, until the sorted last level is turned into tuples.
+    do, until the sorted last level is turned into tuples; the last
+    level carries no masks.
     """
+    if n < 1:
+        return [()]
     family = [p for p in pclass.patterns if _in_block_family(p)]
+    unglued = [p for p in family if not p.glued]
     others = [p for p in pclass.patterns if not _in_block_family(p)]
+    # rows[b][v]: the glued patterns' slots for a prefix ending in b.
+    rows = [
+        [reduce(or_, [_glued_slots(p, b, v) for p in family if p.glued], 0) for v in range(n + 1)]
+        for b in range(n)
+    ]
     # raise_from[v] maps each value u >= v to u + 1.
     raise_from = [bytes(min(u + (u >= v), 255) for u in range(256)) for v in range(n + 1)]
-    level = [b""]
+    level = [(b"", 0)]
     for k in range(1, n + 1):
         grown = []
-        for prefix in level:
-            forbidden = 0  # bit v set when slot v completes an occurrence
-            for pattern in family:
-                for lo, hi in _completing(prefix, pattern):
-                    forbidden |= (1 << hi + 1) - (1 << lo + 1)
-            grown += [
-                prefix.translate(raise_from[v]) + bytes((v,))
-                for v in range(1, k + 1)
-                if not forbidden >> v & 1
-            ]
+        for prefix, mask in level:
+            slots = [v for v in range(1, k + 1) if not mask >> v & 1]
+            children = [prefix.translate(raise_from[v]) + bytes((v,)) for v in slots]
+            if k == n:
+                grown += children
+                continue
+            new = rows[prefix[-1] if prefix else 0]
+            for pattern in unglued:
+                new = [x | y for x, y in zip(new, _unglued_slots(prefix, pattern))]
+            grown += zip(children, _carry(mask, new, slots))
         if others:
-            grown = [w for w in grown if not any(_ends_at(w, k - 1, p) for p in others)]
+            grown = [
+                c for c in grown
+                if not any(_ends_at(c if k == n else c[0], k - 1, p) for p in others)
+            ]
         level = grown
     level.sort()
     # In place, so the bytes and the tuples are never all held at once.

@@ -568,6 +568,23 @@ def weak_leq(lo: Word, hi: Word) -> bool:
     return rf.inversion_mask(lo) & ~rf.inversion_mask(hi) == 0
 
 
+def between(bitsets, size: int, lo_mask: int, hi_mask: int) -> int:
+    """The weak-order interval [lo, hi] among ``size`` masks, as a bitset.
+
+    ``bitsets`` is ``rectflip.order.pair_bitsets`` of the masks; the
+    result is 0 when lo is not below hi.
+    """
+    if lo_mask >> len(bitsets):
+        return 0
+    found = (1 << size) - 1
+    for p, bits in enumerate(bitsets):
+        if lo_mask >> p & 1:
+            found &= bits
+        if not hi_mask >> p & 1:
+            found &= ~bits
+    return found
+
+
 def is_drec_cover(p: Word, q: Word) -> bool:
     """Whether {p, q} is a cover pair of the Baxter restriction, either way up."""
     for w in (p, q):

@@ -23,11 +23,17 @@ from rectflip.flipgraph import (
     verify_theorem_main,
 )
 from rectflip.flips import FlipKind, neighbors
-from rectflip.order import between, inversion_mask, pair_bitsets
+from rectflip.order import inversion_mask, pair_bitsets
 from rectflip.permutation import consecutive_value_swap
 from rectflip.rectangulation import extraction_word, rho
 
-from oracles import bfs_diameter, brute_fibers, dumped_graph_json, matrix_keyed_build
+from oracles import (
+    between,
+    bfs_diameter,
+    brute_fibers,
+    dumped_graph_json,
+    matrix_keyed_build,
+)
 
 
 def test_build_3_is_the_known_graph():

@@ -10,8 +10,8 @@ from rectflip.bijection import twisted_baxter_of
 from rectflip.flipgraph import build
 from rectflip.flips import FlipKind
 from rectflip.order import (
-    between,
     covers_within,
+    down_set,
     drec_covers,
     inversion_mask,
     pair_bitsets,
@@ -20,6 +20,7 @@ from rectflip.rectangulation import rho
 
 from oracles import (
     adjacent_position_swap,
+    between,
     brute_covers,
     brute_weak_leq,
     inversion_pairs,
@@ -131,6 +132,8 @@ def test_bitset_covers_match_pairwise_scan_on_subsets(words, data):
 def test_interval_bitset_matches_a_scan(pair):
     # Random pairs both ways round, most with lo not below hi, which must
     # give 0; and intervals from the bottom and to the top, never empty.
+    # The interval form is the oracle of the fibers in test_flipgraph.py,
+    # and the down-set is the interval from the bottom.
     lo, hi = pair
     n = len(lo)
     masks, bitsets = _indexed(n)
@@ -141,6 +144,8 @@ def test_interval_bitset_matches_a_scan(pair):
         scan = [k for k, m in enumerate(masks) if not (a_mask & ~m or m & ~b_mask)]
         assert found == sum(1 << k for k in scan)
         assert (found == 0) == (not weak_leq(a, b))
+        below = [k for k, m in enumerate(masks) if not m & ~b_mask]
+        assert down_set(bitsets, len(masks), b_mask) == sum(1 << k for k in below)
 
 
 @functools.cache
