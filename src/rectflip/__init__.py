@@ -1,13 +1,11 @@
 """Diagonal rectangulations, their permutation fibers, and flip graphs."""
 
 from .bijection import (
-    Fiber,
     baxter_of,
     block_deletion_word,
     fiber,
     rightmost_of,
     twisted_baxter_of,
-    unique_class_member,
 )
 from .flipgraph import (
     FlipGraph,

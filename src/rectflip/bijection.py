@@ -7,8 +7,7 @@ peels rectangles off the top of the drawing, and one relation,
 :func:`rectflip.rectangulation.peel_predecessors`, says which must go
 before each; the fiber is every peeling order it allows, read
 backwards.  Each fiber holds exactly one permutation from each of the
-named pattern classes, and ``unique_class_member`` finds it by
-filtering the fiber.  The three distinguished members are also read
+Baxter, twisted-Baxter and rightmost classes, and all three are read
 off the drawing directly, without the fiber: ``baxter_of`` by
 bottom-left block deletion, which keys everything downstream (flip
 graphs, the lattice, exports), and the twisted-Baxter and rightmost
@@ -18,9 +17,7 @@ same relation (:func:`rectflip.rectangulation.extraction_word`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .permutation import PatternClass, Word, avoids_class
+from .permutation import Word
 from .rectangulation import (
     GridRectangulation,
     block_deletion_word,
@@ -31,16 +28,7 @@ from .rectangulation import (
 FIBER_CAP = 10
 
 
-@dataclass(frozen=True)
-class Fiber:
-    rect: GridRectangulation
-    members: frozenset[Word]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def fiber(grid: GridRectangulation) -> Fiber:
+def fiber(grid: GridRectangulation) -> frozenset[Word]:
     """All insertion orders drawing this grid.
 
     They are the peeling orders of :func:`peel_predecessors`, read
@@ -68,23 +56,15 @@ def fiber(grid: GridRectangulation) -> Fiber:
             memo[drawn] = orders
         return orders
 
-    return Fiber(grid, frozenset(drawing_orders((1 << n) - 1)))
-
-
-def unique_class_member(grid: GridRectangulation, pclass: PatternClass) -> Word:
-    """The one element of the fiber avoiding the class."""
-    hits = [w for w in fiber(grid).members if avoids_class(w, pclass)]
-    assert len(hits) == 1, f"{pclass.name}: expected one avoider, got {len(hits)}"
-    return hits[0]
+    return frozenset(drawing_orders((1 << n) - 1))
 
 
 def baxter_of(grid: GridRectangulation) -> Word:
     """The Baxter representative of the fiber.
 
     Read off by bottom-left block deletion (:func:`block_deletion_word`)
-    without enumerating the fiber, so it works at any size;
-    :func:`unique_class_member` with ``BAXTER`` is the filter it must
-    agree with.
+    without enumerating the fiber, so it works at any size; the tests
+    hold it to the fiber's one avoider of ``BAXTER``.
     """
     return block_deletion_word(grid.matrix)
 

@@ -14,15 +14,17 @@ Every pattern of the five classes has the form a-bc-d or a-b-c-d with
 mask of completing slots down to its children: a child keeps its
 parent's slots and adds those completed through its own last letter,
 which can only be an occurrence's third letter.  ``contains_vincular``
-matches a whole word in one pass of ``_contains_block``, which keeps
-the open interval of completing letters of every earlier letter as the
-word grows.  Any other pattern is matched by the backtracker of
+and ``avoids_class`` grow a whole word the same way, one letter at a
+time: a letter goes to the slot one above the number of earlier letters
+below it, and the word holds an occurrence iff some letter lands on a
+forbidden slot.  Any other pattern is matched by the backtracker of
 ``_ends_at``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from bisect import bisect, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -189,14 +191,14 @@ def _unglued_slots(word: Sequence[int], pattern: VincularPattern) -> list[int]:
     return table
 
 
-def _carry(mask: int, new: Sequence[int], slots: Iterable[int]) -> list[int]:
-    """The forbidden-slot masks of a prefix's children at the given slots.
+def _carry(mask: int, v: int) -> int:
+    """The forbidden-slot mask of a prefix, carried to its child at slot v.
 
-    The child at v keeps the prefix's mask with bit v duplicated, since
-    both of its slots v and v + 1 sit where slot v sat, and adds new[v],
-    the slots completed through its last letter v.
+    The child keeps the prefix's mask with bit v duplicated, since both
+    of its slots v and v + 1 sit where slot v sat; the slots completed
+    through its last letter v are the caller's to add.
     """
-    return [mask & (2 << v) - 1 | mask >> v << v + 1 | new[v] for v in slots]
+    return mask & (2 << v) - 1 | mask >> v << v + 1
 
 
 def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
@@ -229,74 +231,74 @@ def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
     return extend([], -1)
 
 
-def _contains_block(word: Sequence[int], pattern: VincularPattern) -> bool:
-    # contains_vincular for the block family, in one pass.  With every
-    # value negated when the first pattern letter lies above the last, x
-    # completes an occurrence iff word[i] < x < H for some start i, where
-    # H is the largest high letter of a block after i whose low letter
-    # lies below word[i] (notes/decisions.md).  H is kept for every start
-    # as the word grows by one letter x, and x is first tested against
-    # every (word[i], H).  aux[i] is whether a low letter has come after
-    # i (unglued rising), or the largest of word[i] and the letters after
-    # it (unglued falling).
-    pat = pattern.word
-    rising, negate = pat[1] < pat[2], pat[0] > pat[3]
-    if negate:
-        word = [-u for u in word]
-        rising = not rising
-    glued = 2 in pattern.glued
-    lows: list[int] = []
-    highs: list[int] = []
-    aux: list = []
-    prev = 0
+def _walk(word: Sequence[int], patterns: Sequence[VincularPattern]) -> bool:
+    """True when word contains one of the block-family patterns.
+
+    The word is grown letter by letter as enumeration grows a prefix,
+    carrying the same mask: letter x goes to slot v, one more than the
+    number of earlier letters below it, and an occurrence ends at x iff
+    bit v is set.  The glued patterns read the letter before x by its
+    own slot; only the unglued ones keep the standardised prefix.
+    """
+    glued = [p for p in patterns if p.glued]
+    unglued = [p for p in patterns if not p.glued]
+    seen: list[int] = []
+    prefix: list[int] = []
+    mask = b = 0
     for x in word:
-        for a, h in zip(lows, highs):
-            if a < x < h:
-                return True
-        if glued:
-            # The block (prev, x) can serve every earlier start.
-            low, high = (prev, x) if rising else (x, prev)
-            for i, a in enumerate(lows):
-                if low < a and high > highs[i]:
-                    highs[i] = high
-        elif rising:
-            # Every letter after the first low letter can be the high one.
-            for i, armed in enumerate(aux):
-                if armed:
-                    if x > highs[i]:
-                        highs[i] = x
-                elif x < lows[i]:
-                    aux[i] = True
-        else:
-            # A low letter takes the largest letter before it as the high.
-            for i, a in enumerate(lows):
-                if x < a:
-                    highs[i] = aux[i]
-                if x > aux[i]:
-                    aux[i] = x
-        lows.append(x)
-        highs.append(x)
-        aux.append(False if rising else x)
-        prev = x
+        v = bisect(seen, x) + 1
+        if mask >> v & 1:
+            return True
+        mask = _carry(mask, v)
+        for p in glued:
+            mask |= _glued_slots(p, b, v)
+        if unglued:
+            for p in unglued:
+                mask |= _unglued_slots(prefix, p)[v]
+            prefix = [u + (u >= v) for u in prefix]
+            prefix.append(v)
+        insort(seen, x)
+        b = v
     return False
+
+
+def _contains_any(word: Word, patterns: Sequence[VincularPattern]) -> bool:
+    family = [p for p in patterns if _in_block_family(p)]
+    if family and _walk(word, family):
+        return True
+    return any(
+        _ends_at(word, end, p)
+        for p in patterns
+        if not _in_block_family(p)
+        for end in range(len(p.word) - 1, len(word))
+    )
 
 
 def contains_vincular(word: Word, pattern: VincularPattern) -> bool:
     """True when word contains an occurrence of the vincular pattern.
 
-    A block-family pattern is matched in one pass that keeps the
-    completing interval of every letter as the word grows, so one word
-    costs time quadratic in its length; any other pattern is asked of
-    each end in turn.
+    A block-family pattern is matched by one walk of the word that
+    carries enumeration's forbidden-slot mask, quadratic in its length
+    at worst; any other pattern is asked of each end in turn.
+
+    >>> contains_vincular((2, 4, 1, 3), VincularPattern.from_dashed("2-41-3"))
+    True
+    >>> contains_vincular((2, 4, 1, 3), VincularPattern.from_dashed("2-14-3"))
+    False
     """
-    if _in_block_family(pattern):
-        return _contains_block(word, pattern)
-    ends = range(len(pattern.word) - 1, len(word))
-    return any(_ends_at(word, end, pattern) for end in ends)
+    return _contains_any(word, (pattern,))
 
 
 def avoids_class(word: Word, pclass: PatternClass) -> bool:
-    return not any(contains_vincular(word, p) for p in pclass.patterns)
+    """True when word contains none of the class's patterns; the
+    block-family ones share one walk.
+
+    >>> avoids_class((4, 6, 5, 1, 3, 7, 2), BAXTER)
+    True
+    >>> avoids_class((4, 6, 5, 1, 3, 7, 2), SEPARABLE)
+    False
+    """
+    return not _contains_any(word, pclass.patterns)
 
 
 def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
@@ -340,7 +342,7 @@ def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
             new = rows[prefix[-1] if prefix else 0]
             for pattern in unglued:
                 new = [x | y for x, y in zip(new, _unglued_slots(prefix, pattern))]
-            grown += zip(children, _carry(mask, new, slots))
+            grown += zip(children, [_carry(mask, v) | new[v] for v in slots])
         if others:
             grown = [
                 c for c in grown

@@ -537,12 +537,12 @@ def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:
 
     The rectangle deleted first is the one inserted first, so on a
     canonical grid this reads out a member of the fiber directly: the
-    Baxter member, which the test suite pins against the fiber filter
-    :func:`rectflip.bijection.unique_class_member`.  The word is also a
-    complete invariant of the drawing's equivalence class under wall
-    slides.  On the row-reflected drawing it deletes top-left corners,
-    which lists a canonical grid or any flippable recut as 1..n
-    (notes/decisions.md, "A recut keeps its labels' diagonal order").
+    Baxter member, which the test suite pins against the fiber's one
+    Baxter avoider.  The word is also a complete invariant of the
+    drawing's equivalence class under wall slides.  On the row-reflected
+    drawing it deletes top-left corners, which lists a canonical grid or
+    any flippable recut as 1..n (notes/decisions.md, "A recut keeps its
+    labels' diagonal order").
     """
     work = [list(row) for row in matrix]
     count = len({lab for row in work for lab in row})

@@ -221,6 +221,18 @@ def staircase_fiber(grid) -> frozenset[Word]:
     return frozenset(tuple(reversed(seq)) for seq in removal_suffixes((0,) * n))
 
 
+def unique_class_member(grid, pclass) -> Word:
+    """The one word of staircase_fiber in which brute_contains finds none
+    of the class's patterns."""
+    hits = [
+        w
+        for w in staircase_fiber(grid)
+        if not any(brute_contains(w, p.word, p.glued) for p in pclass.patterns)
+    ]
+    assert len(hits) == 1, f"{pclass.name}: expected one avoider, got {len(hits)}"
+    return hits[0]
+
+
 def relabel(matrix, mapping: dict[int, int]) -> tuple:
     return tuple(tuple(mapping[v] for v in row) for row in matrix)
 

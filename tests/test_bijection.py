@@ -10,7 +10,6 @@ from rectflip.bijection import (
     fiber,
     rightmost_of,
     twisted_baxter_of,
-    unique_class_member,
 )
 from rectflip.permutation import avoids_class, contains_vincular
 from rectflip.rectangulation import _delete_bottom_left, rho
@@ -19,23 +18,24 @@ from oracles import (
     antidiagonal_reading,
     slash_consistency_problems,
     slash_representative,
+    unique_class_member,
 )
 
 
 def test_fiber_of_the_two_cuts():
-    assert fiber(rho((1, 2))).members == {(1, 2)}
-    assert fiber(rho((2, 1))).members == {(2, 1)}
+    assert fiber(rho((1, 2))) == {(1, 2)}
+    assert fiber(rho((2, 1))) == {(2, 1)}
 
 
 def test_fiber_of_worked_example():
     fib = fiber(rho((4, 1, 6, 5, 3, 7, 2)))
-    assert fib.members == {
+    assert fib == {
         (4, 1, 6, 5, 3, 7, 2),
         (4, 6, 1, 5, 3, 7, 2),
         (4, 6, 5, 1, 3, 7, 2),
     }
     assert len(fib) == 3
-    assert min(fib.members) == (4, 1, 6, 5, 3, 7, 2)
+    assert min(fib) == (4, 1, 6, 5, 3, 7, 2)
 
 
 def test_fiber_sizes_partition_factorial():
@@ -62,7 +62,7 @@ def test_baxter_of_worked_examples():
 
 def test_eight_rectangle_fiber():
     grid = rho((3, 1, 4, 2, 6, 5, 8, 7))
-    members = fiber(grid).members
+    members = fiber(grid)
     assert len(members) == 14
     assert twisted_baxter_of(grid) == (3, 1, 4, 2, 6, 5, 8, 7)
     assert rightmost_of(grid) == (3, 4, 6, 8, 1, 2, 5, 7)
@@ -113,7 +113,7 @@ def test_unique_class_member_per_fiber():
     for n in range(1, 6):
         for word in rf.enumerate_avoiders(n, rf.BAXTER):
             grid = rho(word)
-            members = fiber(grid).members
+            members = fiber(grid)
             for cls in (rf.BAXTER, rf.TWISTED_BAXTER, rf.RIGHTMOST):
                 chosen = unique_class_member(grid, cls)
                 assert chosen in members and avoids_class(chosen, cls)
