@@ -19,7 +19,6 @@ from .rectangulation import (
     Edge,
     GridRectangulation,
     Matrix,
-    Rect,
     block_deletion_word,
     diagonal_obstruction,
     freeze_matrix,
@@ -80,23 +79,22 @@ class EdgeUnflippable(ValueError):
         self.flip_class = flip_class
 
 
-def _area(box: Rect) -> int:
-    return (box.bottom - box.top + 1) * (box.right - box.left + 1)
+def _recut(grid: GridRectangulation, edge: Edge) -> Matrix:
+    """Recut the two rectangles at ``edge`` across it, at its pivot.
 
-
-def _recut(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix | None:
-    """Recut the two rectangles at ``edge`` along the line through ``pivot``.
-
-    ``pivot`` is a lattice coordinate along the edge: a column for a
+    The pivot is a lattice coordinate along the edge: a column for a
     horizontal edge (the new wall is vertical) and a row for a vertical
-    one.  The parts of both boxes before the line take the edge's first
-    label and the parts after it its second.  Returns None when a side
-    is empty or its parts do not fill their bounding box; that happens
-    at both ends of a both-ends-matched edge, making it unflippable.
+    one.  It is the matched end of an edge matched at one end, and
+    otherwise the edge's line, which is also its first label.  The parts
+    of both boxes before the pivot fill one box, which takes the edge's
+    first label, and the parts after it another, which takes its second
+    (notes/decisions.md, "A recut has one pivot").  An edge matched at
+    both ends has no recut.
     """
+    pivot = edge.start if edge.matched_start else edge.end if edge.matched_end else edge.line
     a, b = grid.edge_labels(edge)
-    sides = []
-    for lo, hi in ((0, pivot - 1), (pivot, grid.n - 1)):
+    work = [list(row) for row in grid.matrix]
+    for lab, lo, hi in ((a, 0, pivot - 1), (b, pivot, grid.n - 1)):
         parts = []
         for top, left, bottom, right in (grid.rects[a], grid.rects[b]):
             if edge.orient == "h":
@@ -104,18 +102,11 @@ def _recut(grid: GridRectangulation, edge: Edge, pivot: int) -> Matrix | None:
             else:
                 top, bottom = max(top, lo), min(bottom, hi)
             if top <= bottom and left <= right:
-                parts.append(Rect(top, left, bottom, right))
-        if not parts:
-            return None
+                parts.append((top, left, bottom, right))
         tops, lefts, bottoms, rights = zip(*parts)
-        box = Rect(min(tops), min(lefts), max(bottoms), max(rights))
-        if sum(map(_area, parts)) != _area(box):
-            return None
-        sides.append(box)
-    work = [list(row) for row in grid.matrix]
-    for lab, box in zip((a, b), sides):
-        for r in range(box.top, box.bottom + 1):
-            work[r][box.left : box.right + 1] = [lab] * (box.right - box.left + 1)
+        left, right = min(lefts), max(rights)
+        for r in range(min(tops), max(bottoms) + 1):
+            work[r][left : right + 1] = [lab] * (right - left + 1)
     return freeze_matrix(work)
 
 
@@ -126,11 +117,11 @@ def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix |
     # cell: a canonical drawing that no obstruction scan need check.
     # Law-Reading recuts are canonical too, and every flippable recut
     # keeps each label's place on the diagonal (notes/decisions.md).
-    if edge.matched_count == 0:
-        return FlipClass(FlipKind.SIMPLE), _recut(grid, edge, grid.edge_labels(edge)[0])
     if edge.matched_count == 2:
         return FlipClass(FlipKind.UNFLIPPABLE_BOTH_MATCHED), None
-    recut = _recut(grid, edge, edge.start if edge.matched_start else edge.end)
+    recut = _recut(grid, edge)
+    if edge.matched_count == 0:
+        return FlipClass(FlipKind.SIMPLE), recut
     if diagonal_obstruction(recut) is not None:
         if edge.orient == "h":
             subtype = 1 if edge.matched_start else 2
@@ -188,12 +179,11 @@ def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge
 def _edge_recuts(
     grid: GridRectangulation,
 ) -> Iterator[tuple[Edge, FlipClass, Matrix | None]]:
-    # Every interior edge, its class and, if it is flippable, its recut:
-    # a drawing of the flip result with the input's labels, free of
-    # diagonal obstructions.  Edges are ordered by their two labels,
-    # then orientation, in neighbors, rectflip flips and SVG renderings.
-    edges = grid.interior_edges()
-    for edge in sorted(edges, key=lambda e: (*grid.edge_labels(e), e.orient)):
+    # Every interior edge in the order of its two labels, its class and,
+    # if it is flippable, its recut: a drawing of the flip result with
+    # the input's labels, free of diagonal obstructions.  neighbors,
+    # rectflip flips and SVG renderings list edges in this order.
+    for edge in grid.interior_edges():
         yield edge, *_classify(grid, edge)
 
 

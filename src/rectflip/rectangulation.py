@@ -274,21 +274,27 @@ class GridRectangulation:
         return len(self.matrix)
 
     def interior_edges(self) -> tuple[Edge, ...]:
-        """Every interior wall piece, ordered by orientation, line and start.
+        """Every interior wall piece, ordered by the labels it separates.
 
-        Each piece has a rectangle on its left or above it, and the one
-        on its other side lies just right of that rectangle's box or just
+        Each piece has a rectangle a on its left or above it, and the
+        rectangle b on its other side lies just right of a's box or just
         below it; :meth:`find_edge` draws the piece between the two.
+        Pieces come in the order of their pairs (a, b), which are their
+        :meth:`edge_labels`; a < b in a canonical drawing.
+
+        >>> g = rho((3, 1, 2))
+        >>> [g.edge_id(e) for e in g.interior_edges()]
+        ['1|2:v', '1|3:h', '2|3:h']
         """
-        m, n, edges = self.matrix, self.n, []
+        m, n, pairs = self.matrix, self.n, []
         for a, (top, left, bottom, right) in self.rects.items():
             others = set()
             if right + 1 < n:
                 others.update(row[right + 1] for row in m[top : bottom + 1])
             if bottom + 1 < n:
                 others.update(m[bottom + 1][left : right + 1])
-            edges.extend(self.find_edge(a, b) for b in others)
-        return tuple(sorted(edges, key=lambda e: (e.orient, e.line, e.start)))
+            pairs.extend((a, b) for b in others)
+        return tuple(self.find_edge(a, b) for a, b in sorted(pairs))
 
     def edge_labels(self, edge: Edge) -> tuple[int, int]:
         """The two rectangles an interior edge separates.

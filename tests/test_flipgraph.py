@@ -121,6 +121,16 @@ def test_diameter_growth():
         assert d <= 8 * n
 
 
+def test_flip_graph_is_simple():
+    # Every adjacent pair is joined by one flip of one kind, for n <= 7
+    # (and at n = 8 in a one-off run; notes/decisions.md).  No code
+    # relies on it.
+    for n in range(1, 8):
+        for tags in build(n).edges.values():
+            assert list(tags.values()) == [1]
+    assert len(build(7).edges) == 9032
+
+
 def test_bitset_diameter_matches_per_node_bfs():
     for n in range(1, 8):
         fg = build(n)

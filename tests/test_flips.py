@@ -98,8 +98,8 @@ def test_unflippable_both_matched_example():
     e = g.find_edge(1, 3)
     assert classify_edge(g, e).kind is FlipKind.UNFLIPPABLE_BOTH_MATCHED
     # Recutting at either T-junction leaves a non-rectangular part.
-    assert _recut(g, e, e.start) is None
-    assert _recut(g, e, e.end) is None
+    assert recut_cells(g, e, e.start) is None
+    assert recut_cells(g, e, e.end) is None
     with pytest.raises(EdgeUnflippable):
         flip(g, e)
 
@@ -330,18 +330,53 @@ def test_neighbors_scans_each_recut_once(monkeypatch):
         assert len(scanned) == sum(e.matched_count == 1 for e in g.interior_edges())
 
 
+def _pivots(g, e):
+    # The pivot _classify recuts an edge at (None for an edge matched at
+    # both ends), and the other endpoints.
+    if e.matched_count == 2:
+        return None, (e.start, e.end)
+    if e.matched_count == 0:
+        return g.edge_labels(e)[0], ()
+    if e.matched_start:
+        return e.start, (e.end,)
+    return e.end, (e.start,)
+
+
 def test_recut_matches_cell_oracle():
-    # Every interior edge, cut at both of its endpoints and at the
-    # diagonal coordinate of its first label.
-    recuts = 0
+    # Every interior edge matched at fewer than two ends, cut at its
+    # pivot: the cell oracle gives two rectangles there, and _recut the
+    # same matrix.  Every other endpoint leaves a part empty or not a
+    # rectangle (notes/decisions.md, "A recut has one pivot").
+    recuts = {0: 0, 1: 0}
+    refused = 0
     for n in range(1, 7):
         for g in grids(n):
             for e in g.interior_edges():
-                for pivot in {e.start, e.end, g.edge_labels(e)[0]}:
+                pivot, others = _pivots(g, e)
+                if pivot is not None:
                     expected = recut_cells(g, e, pivot)
-                    assert _recut(g, e, pivot) == expected
-                    recuts += expected is not None
-    assert recuts == 3974
+                    assert expected is not None
+                    assert _recut(g, e) == expected
+                    recuts[e.matched_count] += 1
+                for other in others:
+                    assert recut_cells(g, e, other) is None
+                    refused += 1
+    assert recuts == {0: 1142, 1: 2832}
+    assert refused == 2 * 644 + 2832
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple))
+)
+def test_recut_matches_cell_oracle_on_large_drawings(word):
+    g = rho(word)
+    for e in g.interior_edges():
+        pivot, others = _pivots(g, e)
+        if pivot is not None:
+            assert _recut(g, e) == recut_cells(g, e, pivot)
+        for other in others:
+            assert recut_cells(g, e, other) is None
 
 
 def test_simple_recuts_are_canonical():
