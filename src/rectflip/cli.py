@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -269,7 +270,11 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar: built on the first `main()` call, then shared,
+    unmodified, by every later call in the same process.
+    """
     parser = argparse.ArgumentParser(
         prog="rectflip",
         description="Diagonal rectangulations, their permutations, and flips.",

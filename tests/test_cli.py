@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rectflip as rf
@@ -361,6 +362,146 @@ def test_closed_stdout_exits_141_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+STATE_CASES = (
+    (["verify", "3", "--theorem", "bogus"], None),
+    (["flip", "9|9:h"], GRID_7),
+    (["flip", "3|4:h"], GRID_7),
+    (["graph", "3", "--json"], None),
+    (["map", "312"], None),
+    (["flips"], GRID_7),
+)
+
+
+def _cli_env():
+    # COLUMNS fixes the width argparse wraps usage text at.
+    return dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]), COLUMNS="80")
+
+
+def _first_call(argv, stdin_text):
+    """Code and output bytes of a call that runs first in its own process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rectflip.cli", *argv],
+        input=(stdin_text or "").encode(),
+        capture_output=True,
+        env=_cli_env(),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _later_call(argv, stdin_text):
+    """Code and output bytes of a call in this process; argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_reused_parser_keeps_no_state(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = [_first_call(*case) for case in STATE_CASES]
+    assert [code for code, _, _ in first] == [2, 2, 4, 0, 0, 0]
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for _ in range(2):
+        assert [_later_call(*case) for case in STATE_CASES] == first
+    assert len(parsers) == 2 * len(STATE_CASES)
+    assert all(parser is parsers[0] for parser in parsers)
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A fresh process, so that no earlier test has built the parser.
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from rectflip import cli
+counts = [len(built)]
+for _ in range(2):
+    cli.main(["map", "1"])
+    counts.append(len(built))
+print(*counts)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=_cli_env(), timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    *maps, counts = proc.stdout.decode().splitlines()
+    assert maps == ["1", "1"]
+    at_import, after_first, after_second = map(int, counts.split())
+    assert at_import == 0 < after_first == after_second
+
+
+_EDGE_IDS = st.builds(
+    "{}|{}:{}".format, st.integers(0, 7), st.integers(0, 7), st.sampled_from("hv")
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Text of a small label matrix, and an edge id to flip in it.
+
+    A third are ragged or arbitrary; the rest are canonical drawings, some
+    relabelled, transposed, turned upside down or with one cell changed.
+    """
+    n = draw(st.sampled_from(range(1, 9)))
+    ids = []
+    if draw(st.integers(0, 2)) == 0:
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(-1, n + 1), min_size=1, max_size=n + 1),
+                min_size=1,
+                max_size=n + 1,
+            )
+        )
+    else:
+        grid = rho(tuple(draw(st.permutations(range(1, n + 1)))))
+        ids = [grid.edge_id(e) for e in grid.interior_edges()]
+        rows = [list(row) for row in grid.matrix]
+        change = draw(st.none() | st.sampled_from(("relabel", "transpose", "upside", "cell")))
+        if change == "relabel":
+            labels = draw(st.permutations(range(1, n + 1)))
+            rows = [[labels[x - 1] for x in row] for row in rows]
+        elif change == "transpose":
+            rows = [list(col) for col in zip(*rows)]
+        elif change == "upside":
+            rows = rows[::-1]
+        elif change == "cell":
+            r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[r][c] = draw(st.integers(0, n + 1))
+    edge = draw(st.sampled_from(ids) if ids and draw(st.booleans()) else _EDGE_IDS)
+    return "\n".join(" ".join(map(str, row)) for row in rows) + "\n", edge
+
+
+@settings(max_examples=300)
+@given(_matrices())
+def test_no_command_raises_on_a_random_matrix(case):
+    text, edge = case
+    for argv in (["perms"], ["flips"], ["flip", edge], ["render", "--svg", "-"]):
+        code, out, err = run(argv, text)
+        assert code in (0, 2, 3, 4)
+        assert (err == "") == (code == 0)
+        assert code == 0 or out == ""
 
 
 def test_parse_grid_roundtrip():

@@ -131,6 +131,27 @@ def test_flip_graph_is_simple():
     assert len(build(7).edges) == 9032
 
 
+def test_law_reading_degree_is_descents_plus_ascents():
+    # In a lattice quotient of the weak order a class has one lower cover
+    # per descent of its bottom element and one upper cover per ascent of
+    # its top (Reading, Order 2004); checked up to n = 7 in
+    # notes/decisions.md.
+    law_reading = {FlipKind.SIMPLE, FlipKind.ROTATION_LR}
+    for n in range(1, 7):
+        fg = build(n)
+        degree = Counter()
+        for pair, tags in fg.edges.items():
+            if law_reading & tags.keys():
+                degree.update(pair)
+        for w in fg.nodes:
+            grid = rho(w)
+            low, high = rf.twisted_baxter_of(grid), rf.rightmost_of(grid)
+            descents = sum(x > y for x, y in zip(low, low[1:]))
+            ascents = sum(x < y for x, y in zip(high, high[1:]))
+            assert degree[w] == descents + ascents
+        assert sum(degree.values()) == 2 * [0, 1, 6, 34, 194, 1132][n - 1]
+
+
 def test_bitset_diameter_matches_per_node_bfs():
     for n in range(1, 8):
         fg = build(n)
