@@ -318,7 +318,7 @@ def verify_counts(n: int) -> VerificationReport:
     """
     fg = build(n)
     failures = []
-    distinct = {_grid_key(grid) for grid, _ in _fibers(n)}
+    distinct = _group(n).keys()
     node_keys = {_grid_key(grid) for grid in fg.grids.values()}
     if len(fg.nodes) != len(distinct):
         failures.append(

@@ -13,17 +13,13 @@ Every pattern of the five classes has the form a-bc-d or a-b-c-d with
 {b, c} = {1, 4}.  For such a pattern enumeration hands each prefix's
 mask of completing slots down to its children: a child keeps its
 parent's slots and adds those completed through its own last letter,
-which can only be an occurrence's third letter.  ``contains_vincular``
-and ``avoids_class`` grow a whole word the same way, one letter at a
-time: a letter goes to the slot one above the number of earlier letters
-below it, and the word holds an occurrence iff some letter lands on a
-forbidden slot.  Any other pattern is matched by the backtracker of
-``_ends_at``.
+which can only be an occurrence's third letter.  Any other pattern, and
+every question about one whole word (``contains_vincular``,
+``avoids_class``), is answered by the backtracker of ``_ends_at``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -231,74 +227,27 @@ def _ends_at(word: Sequence[int], end: int, pattern: VincularPattern) -> bool:
     return extend([], -1)
 
 
-def _walk(word: Sequence[int], patterns: Sequence[VincularPattern]) -> bool:
-    """True when word contains one of the block-family patterns.
-
-    The word is grown letter by letter as enumeration grows a prefix,
-    carrying the same mask: letter x goes to slot v, one more than the
-    number of earlier letters below it, and an occurrence ends at x iff
-    bit v is set.  The glued patterns read the letter before x by its
-    own slot; only the unglued ones keep the standardised prefix.
-    """
-    glued = [p for p in patterns if p.glued]
-    unglued = [p for p in patterns if not p.glued]
-    seen: list[int] = []
-    prefix: list[int] = []
-    mask = b = 0
-    for x in word:
-        v = bisect(seen, x) + 1
-        if mask >> v & 1:
-            return True
-        mask = _carry(mask, v)
-        for p in glued:
-            mask |= _glued_slots(p, b, v)
-        if unglued:
-            for p in unglued:
-                mask |= _unglued_slots(prefix, p)[v]
-            prefix = [u + (u >= v) for u in prefix]
-            prefix.append(v)
-        insort(seen, x)
-        b = v
-    return False
-
-
-def _contains_any(word: Word, patterns: Sequence[VincularPattern]) -> bool:
-    family = [p for p in patterns if _in_block_family(p)]
-    if family and _walk(word, family):
-        return True
-    return any(
-        _ends_at(word, end, p)
-        for p in patterns
-        if not _in_block_family(p)
-        for end in range(len(p.word) - 1, len(word))
-    )
-
-
 def contains_vincular(word: Word, pattern: VincularPattern) -> bool:
-    """True when word contains an occurrence of the vincular pattern.
-
-    A block-family pattern is matched by one walk of the word that
-    carries enumeration's forbidden-slot mask, quadratic in its length
-    at worst; any other pattern is asked of each end in turn.
+    """True when word contains an occurrence of the vincular pattern,
+    asking ``_ends_at`` of each end of word in turn.
 
     >>> contains_vincular((2, 4, 1, 3), VincularPattern.from_dashed("2-41-3"))
     True
     >>> contains_vincular((2, 4, 1, 3), VincularPattern.from_dashed("2-14-3"))
     False
     """
-    return _contains_any(word, (pattern,))
+    return any(_ends_at(word, end, pattern) for end in range(len(word)))
 
 
 def avoids_class(word: Word, pclass: PatternClass) -> bool:
-    """True when word contains none of the class's patterns; the
-    block-family ones share one walk.
+    """True when word contains none of the class's patterns.
 
     >>> avoids_class((4, 6, 5, 1, 3, 7, 2), BAXTER)
     True
     >>> avoids_class((4, 6, 5, 1, 3, 7, 2), SEPARABLE)
     False
     """
-    return not _contains_any(word, pclass.patterns)
+    return not any(contains_vincular(word, p) for p in pclass.patterns)
 
 
 def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
@@ -318,7 +267,9 @@ def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
     do, until the sorted last level is turned into tuples; the last
     level carries no masks.
     """
-    if n < 1:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
         return [()]
     family = [p for p in pclass.patterns if _in_block_family(p)]
     unglued = [p for p in family if not p.glued]

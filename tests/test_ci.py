@@ -1,8 +1,11 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-CHECK = Path(__file__).resolve().parents[1] / "ci" / "check_expected_failures.py"
+ROOT = Path(__file__).resolve().parents[1]
+CHECK = ROOT / "ci" / "check_expected_failures.py"
+SPANS = ROOT / "bench" / "spans.py"
 
 PASSED = '<testcase classname="tests.test_a" name="test_ok" time="0.1"/>'
 SKIPPED = (
@@ -37,3 +40,20 @@ def test_skipped_test_fails_the_run(tmp_path):
 
 def test_empty_run_fails(tmp_path):
     assert check(tmp_path, []) == (1, "0 tests, 0 failed, 0 skipped\nno test ran\n")
+
+
+def test_every_traced_layer_is_bound(monkeypatch):
+    # bench/spans.py looks each LAYERS name up with getattr, so a renamed
+    # or moved function breaks the benchmark; load it without writing a
+    # bytecode cache under bench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unbound = [
+        f"rectflip.{module}.{name}"
+        for module, names in spans.LAYERS.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"rectflip.{module}"), name)
+    ]
+    assert spans.LAYERS and unbound == []

@@ -249,6 +249,12 @@ def test_enumeration_matches_the_filter(pclass):
         assert enumerate_avoiders(n, pclass) == filter_avoiders(n, pclass.patterns), n
 
 
+def test_enumeration_rejects_negative_sizes():
+    # Size 0 has the one empty avoider (test_enumeration_matches_the_filter).
+    with pytest.raises(ValueError):
+        enumerate_avoiders(-2, BAXTER)
+
+
 def test_enumeration_keeps_3142_for_3_12():
     # Inserting n into the size-(n-1) avoiders would miss it.
     assert (3, 1, 4, 2) in enumerate_avoiders(4, EXTRA_CLASSES[0])
@@ -302,8 +308,8 @@ def test_swap_range_errors():
 
 @given(words(1, 10))
 def test_avoids_class_matches_contains(word):
-    # avoids_class walks a class's two patterns at once; the oracle scans
-    # for each on its own.
+    # avoids_class backtracks from each end of the word; the oracle scans
+    # every choice of positions.
     for cls in CLASSES_BY_NAME.values():
         assert avoids_class(word, cls) == (
             not any(brute_contains(word, p.word, p.glued) for p in cls.patterns)
