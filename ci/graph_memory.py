@@ -22,25 +22,30 @@ fiber as the fibers are consumed, and the 29-33 MB it took when every
 word was drawn and keyed by its matrix.  The prefix walk of S_8 that
 groups them keeps each word as bytes under its fiber's key and nothing
 else, and peaks at 20.1 MB; it peaked at 23.2 MB while it also kept
-each word's inversion mask (Python 3.11.7).
+each word's inversion mask.  Each fiber's boxes are now checked to tile
+the square without drawing a grid, and it peaks at 19.6-19.9 MB
+(Python 3.11.7).
 
 verify_inversion(8) checks that each of those 10,754 fibers is a
 weak-order interval.  It walks each fiber's interval up from its lower
 extreme and compares the words reached with the fiber's members, so
 beside the grouping it holds only sets the size of one fiber.  Its
-budget, 32 MB, sits above the 21-25 MB it peaks at now (21.2, 25.1,
-23.4 and 23.3 MB on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0) and
-below the 34.3 MB it took on Python 3.11.7 when every word's mask was
-computed on its own and held in a dict keyed by the word.  Sizing each
-interval by a popcount over n!-bit bitsets, one per value pair, peaked
-at 24-28 MB (28.2 MB on Python 3.11.7).
+budget, 32 MB, sits above the 21-25 MB it peaked at while it drew a
+grid for each fiber (21.2, 25.1, 23.4 and 23.3 MB on Python 3.10.13,
+3.11.7, 3.12.1 and 3.13.0) and the 23.0 MB it peaks at on Python 3.11.7
+now that it peels each fiber's boxes, and below the 34.3 MB it took on
+Python 3.11.7 when every word's mask was computed on its own and held
+in a dict keyed by the word.  Sizing each interval by a popcount over
+n!-bit bitsets, one per value pair, peaked at 24-28 MB (28.2 MB on
+Python 3.11.7).
 
 verify_inversion(9) runs the same check on the 58,202 fibers of the
 362,880 words of size 9.  Its budget, 85 MB, sits between the
-68-73 MB the walk peaks at (67.9, 72.0, 70.4 and 70.3 MB on Python
-3.10.13, 3.11.7, 3.12.1 and 3.13.0) and the 96.4 MB that the n!-bit
-bitsets took on Python 3.11.7, so the bitsets would fail it.  It takes
-5-13 s, the slowest check here; the bitsets took 34 s.
+68-73 MB the walk peaked at with a grid per fiber (67.9, 72.0, 70.4 and
+70.3 MB on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0; 68.7 MB on Python
+3.11.7 without the grids) and the 96.4 MB that the n!-bit bitsets took
+on Python 3.11.7, so the bitsets would fail it.  It takes 4-13 s, the
+slowest check here; the bitsets took 34 s.
 
 enumerate_avoiders(10, BAXTER) lists all 326,240 Baxter permutations of
 size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when

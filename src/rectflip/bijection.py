@@ -39,7 +39,7 @@ def fiber(grid: GridRectangulation) -> frozenset[Word]:
     n = grid.n
     if n > FIBER_CAP:
         raise ValueError(f"fiber enumeration is exponential; capped at n = {FIBER_CAP}")
-    preds = peel_predecessors(grid)
+    preds = peel_predecessors(grid.boxes)
     memo: dict[int, list[Word]] = {0: [()]}
 
     def drawing_orders(drawn: int) -> list[Word]:

@@ -30,8 +30,10 @@ from .permutation import (
 )
 from .rectangulation import (
     GridRectangulation,
+    _check_tiling,
     _peel,
     _run_box,
+    _run_boxes,
     block_deletion_word,
     peel_predecessors,
     rho,
@@ -259,9 +261,8 @@ def verify_characterization(n: int) -> VerificationReport:
     )
 
 
-def _grid_key(grid: GridRectangulation) -> bytes:
-    # The coordinates of the grid's boxes in label order, one byte each.
-    boxes = map(grid.rects.__getitem__, range(1, grid.n + 1))
+def _box_key(boxes: list[tuple[int, int, int, int]]) -> bytes:
+    # The coordinates of boxes in label order, one byte each.
     return bytes(itertools.chain.from_iterable(boxes))
 
 
@@ -293,19 +294,21 @@ def _group(n: int) -> dict[bytes, list[bytes]]:
     return groups
 
 
-def _fibers(n: int) -> Iterator[tuple[GridRectangulation, list[Word]]]:
-    # The fibers of rho on S_n, in order of first member.  Each fiber's
-    # grid is drawn once, from its first member, and must have exactly
-    # the boxes it was grouped by.  Grids and member tuples are made as
-    # the fibers are consumed.
+def _fibers(n: int) -> Iterator[tuple[list[tuple[int, int, int, int]], list[Word]]]:
+    # The fibers of rho on S_n, in order of first member, each as the
+    # boxes rho draws for its first member and its members.  The boxes
+    # must be the ones the fiber was grouped by, and they must tile the
+    # square as rho checks before it draws; no grid is drawn.  Member
+    # tuples are made as the fibers are consumed.
     for key, members in _group(n).items():
         members = list(map(tuple, members))
-        grid = rho(members[0])
-        if _grid_key(grid) != key:
+        boxes = _run_boxes(members[0])
+        if _box_key(boxes) != key:
             raise RuntimeError(
                 f"rho draws {format_permutation(members[0])} off its run boxes"
             )
-        yield grid, members
+        _check_tiling(members[0], boxes)
+        yield boxes, members
 
 
 def verify_counts(n: int) -> VerificationReport:
@@ -319,7 +322,7 @@ def verify_counts(n: int) -> VerificationReport:
     fg = build(n)
     failures = []
     distinct = _group(n).keys()
-    node_keys = {_grid_key(grid) for grid in fg.grids.values()}
+    node_keys = {_box_key(grid.boxes) for grid in fg.grids.values()}
     if len(fg.nodes) != len(distinct):
         failures.append(
             f"{len(fg.nodes)} nodes but {len(distinct)} distinct drawings"
@@ -348,46 +351,51 @@ def verify_inversion(n: int) -> VerificationReport:
     when lo lies below hi, that reaches all of [lo, hi] and nothing else
     (notes/decisions.md, "A fiber is checked by walking its interval").
     """
-    classes = {
-        pclass: set(enumerate_avoiders(n, pclass))
-        for pclass in (BAXTER, TWISTED_BAXTER, RIGHTMOST)
-    }
+    classes = (BAXTER, TWISTED_BAXTER, RIGHTMOST)
+    # Bit k of bits[w] is set when w avoids classes[k].
+    bits: dict[Word, int] = {}
+    for k, pclass in enumerate(classes):
+        for w in enumerate_avoiders(n, pclass):
+            bits[w] = bits.get(w, 0) | 1 << k
     failures = []
     fibers = 0
-    for grid, members in _fibers(n):
+    for boxes, members in _fibers(n):
         fibers += 1
-        preds = peel_predecessors(grid)
+        preds = peel_predecessors(boxes)
         lo, hi = _peel(preds, "leftmost"), _peel(preds, "rightmost")
-        tag = f"fiber of {format_permutation(lo)}"
-        fiber = set(members)
+        fiber, problems = set(members), []
         if lo not in fiber or hi not in fiber:
-            failures.append(f"{tag}: extraction words are not members")
-            continue
-        rank = {v: i for i, v in enumerate(hi)}
-        walked, todo = set(), [lo]
-        while todo:
-            w = todo.pop()
-            if w not in walked:
-                walked.add(w)
+            problems.append("extraction words are not members")
+        else:
+            # A one-member fiber is its interval, since lo = hi = its member.
+            walked, todo = {lo}, [lo] if len(fiber) > 1 else []
+            rank = {v: i for i, v in enumerate(hi)}
+            while todo:
+                w = todo.pop()
                 for i in range(n - 1):
                     x, y = w[i], w[i + 1]
                     if x < y and rank[y] < rank[x]:
-                        todo.append(w[:i] + (y, x) + w[i + 2 :])
-        for w in sorted(fiber - walked):
-            failures.append(
-                f"{tag}: {format_permutation(w)} is not between the extremes"
-            )
-        # Unless lo lies below hi, the walk misses hi and [lo, hi] is empty.
-        for w in sorted(walked - fiber) if hi in walked else ():
-            failures.append(
-                f"{tag}: {format_permutation(w)} is between the extremes but not a member"
-            )
-        for pclass, avoiders in classes.items():
-            hits = [m for m in members if m in avoiders]
-            if len(hits) != 1:
-                failures.append(
-                    f"{tag}: {len(hits)} members avoid {pclass.name}"
+                        up = w[:i] + (y, x) + w[i + 2 :]
+                        if up not in walked:
+                            walked.add(up)
+                            todo.append(up)
+            for w in sorted(fiber - walked):
+                problems.append(f"{format_permutation(w)} is not between the extremes")
+            # Unless lo lies below hi, the walk misses hi and [lo, hi] is empty.
+            for w in sorted(walked - fiber) if hi in walked else ():
+                problems.append(
+                    f"{format_permutation(w)} is between the extremes but not a member"
                 )
+            seen = twice = 0
+            for m in members:
+                twice |= seen & bits.get(m, 0)
+                seen |= bits.get(m, 0)
+            if seen != 0b111 or twice:  # some class has no member here, or two
+                for k, pclass in enumerate(classes):
+                    hits = sum(bits.get(m, 0) >> k & 1 for m in members)
+                    if hits != 1:
+                        problems.append(f"{hits} members avoid {pclass.name}")
+        failures += [f"fiber of {format_permutation(lo)}: {p}" for p in problems]
     return VerificationReport("inversion", n, fibers, tuple(failures))
 
 

@@ -273,6 +273,11 @@ class GridRectangulation:
     def n(self) -> int:
         return len(self.matrix)
 
+    @property
+    def boxes(self) -> list[Rect]:
+        """The rectangles' boxes in label order."""
+        return list(map(self.rects.__getitem__, range(1, self.n + 1)))
+
     def interior_edges(self) -> tuple[Edge, ...]:
         """Every interior wall piece, ordered by the labels it separates.
 
@@ -362,10 +367,8 @@ def rho(word: Word) -> GridRectangulation:
     for the reversed word, the upper tree.  Distinct words can draw the
     same grid; see :mod:`rectflip.bijection` for the fibers.
 
-    The boxes are checked as they are drawn: each must lie in the
-    square and write no cell twice, their areas must sum to n * n and
-    each diagonal cell must get its own label.  The grid takes the
-    checked boxes as they are.
+    The boxes are checked before they are drawn (:func:`_check_tiling`),
+    and the grid takes them as they are.
 
     >>> print(rho((3, 1, 2)))
     1 2 2
@@ -376,28 +379,45 @@ def rho(word: Word) -> GridRectangulation:
     n = len(word)
     if not n:
         raise ValueError("rho needs a non-empty word")
-    grid = [[0] * n for _ in range(n)]
     boxes = _run_boxes(word)
-    area = 0
+    _check_tiling(word, boxes)
+    grid = [[0] * n for _ in range(n)]
+    for j, (top, left, bottom, right) in enumerate(boxes, 1):
+        fill = [j] * (right - left + 1)
+        for row in grid[top : bottom + 1]:
+            row[left : right + 1] = fill
+    rects = dict(zip(range(1, n + 1), map(Rect._make, boxes)))
+    return GridRectangulation._of_checked_boxes(freeze_matrix(grid), rects)
+
+
+def _check_tiling(word: Word, boxes: list[tuple[int, int, int, int]]) -> None:
+    # Raise unless the boxes rho draws for word, in label order, lie in
+    # the square, claim no cell of a row twice (a column bit mask per
+    # row) and have areas summing to n * n, so that they tile it, and box
+    # i holds diagonal cell (i-1, i-1).
+    n = len(word)
+    rows, area = [0] * n, 0
     for j, (top, left, bottom, right) in enumerate(boxes, 1):
         if not (0 <= top <= bottom < n and 0 <= left <= right < n):
             raise ValueError(f"box {j} of rho({word}) leaves the square")
-        width = right - left + 1
-        blank, fill = [0] * width, [j] * width
-        for row in grid[top : bottom + 1]:
-            if row[left : right + 1] != blank:
+        cols = (2 << right) - (1 << left)
+        for r in range(top, bottom + 1):
+            if rows[r] & cols:
                 raise ValueError(f"box {j} of rho({word}) writes a cell twice")
-            row[left : right + 1] = fill
-        area += width * (bottom - top + 1)
+            rows[r] |= cols
+        area += (right - left + 1) * (bottom - top + 1)
     if area != n * n:
         raise ValueError(f"the boxes of rho({word}) cover {area} of {n * n} cells")
-    for i, row in enumerate(grid):
-        if row[i] != i + 1:
-            raise ValueError(
-                f"rho({word}) puts label {row[i]} on diagonal cell ({i}, {i})"
+    for i, (top, left, bottom, right) in enumerate(boxes):
+        if not (top <= i <= bottom and left <= i <= right):
+            lab = next(
+                j
+                for j, (t, l, b, r) in enumerate(boxes, 1)
+                if t <= i <= b and l <= i <= r
             )
-    rects = dict(zip(range(1, n + 1), map(Rect._make, boxes)))
-    return GridRectangulation._of_checked_boxes(freeze_matrix(grid), rects)
+            raise ValueError(
+                f"rho({word}) puts label {lab} on diagonal cell ({i}, {i})"
+            )
 
 
 def _run_boxes(word: Word) -> list[tuple[int, int, int, int]]:
@@ -438,29 +458,35 @@ def _run_box(d: int, placed: int, n: int) -> tuple[int, int, int, int]:
     return top, left, bottom, right
 
 
-def peel_predecessors(grid: GridRectangulation) -> list[int]:
+def peel_predecessors(boxes: list[tuple[int, int, int, int]]) -> list[int]:
     """The rectangles that must be peeled off before each one, as bit masks.
 
-    Entry i is the mask of label i + 1, with bit j set for label j + 1.
-    Rectangles are peeled off the drawing from the top down, and a
-    rectangle may go once the rectangles just above its top side and the
-    one holding the cell right of its bottom-right cell are gone.  Every
-    order that respects these masks peels the whole drawing, and read
-    backwards it is an insertion order that draws the grid.
+    ``boxes`` holds each rectangle's box in label order, and entry i is
+    the mask of label i + 1, with bit j set for label j + 1.  Rectangles
+    are peeled off the drawing from the top down, and a rectangle may go
+    once the boxes ending on the row above it that meet its columns are
+    gone, and the one starting right of it that holds its bottom row
+    (notes/decisions.md, "Peeling reads boxes").  Every order that
+    respects these masks peels the whole drawing, and read backwards it
+    is an insertion order that draws the grid.
 
-    >>> peel_predecessors(rho((3, 1, 2)))
+    >>> peel_predecessors([(0, 0, 1, 0), (0, 1, 1, 2), (2, 0, 2, 2)])
     [2, 0, 3]
     """
-    matrix, rects = grid.matrix, grid.rects
-    n = len(matrix)
+    ending: dict[int, list] = {}  # (left, right, bit) of each box by bottom row
+    starting: dict[int, list] = {}  # (top, bottom, bit) of each box by left column
+    for i, (top, left, bottom, right) in enumerate(boxes):
+        ending.setdefault(bottom, []).append((left, right, 1 << i))
+        starting.setdefault(left, []).append((top, bottom, 1 << i))
     masks = []
-    for top, left, bottom, right in (rects[lab] for lab in range(1, n + 1)):
+    for top, left, bottom, right in boxes:
         mask = 0
-        if top:
-            for above in matrix[top - 1][left : right + 1]:
-                mask |= 1 << above - 1
-        if right + 1 < n:
-            mask |= 1 << matrix[bottom][right + 1] - 1
+        for lo, hi, bit in ending.get(top - 1, ()):
+            if lo <= right and left <= hi:
+                mask |= bit
+        for lo, hi, bit in starting.get(right + 1, ()):
+            if lo <= bottom <= hi:
+                mask |= bit
         masks.append(mask)
     return masks
 
@@ -482,11 +508,11 @@ def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
     """
     if rule not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown extraction rule: {rule}")
-    return _peel(peel_predecessors(grid), rule)
+    return _peel(peel_predecessors(grid.boxes), rule)
 
 
 def _peel(preds: list[int], rule: str) -> Word:
-    # extraction_word(grid, rule), given peel_predecessors(grid).
+    # extraction_word(grid, rule), given peel_predecessors(grid.boxes).
     n = len(preds)
     # Each step peels the first free label of this preference order.
     pending = list(range(n - 1, -1, -1) if rule == "leftmost" else range(n))

@@ -199,6 +199,23 @@ def staircase_extraction_word(grid, rule: str = "leftmost") -> Word:
     return tuple(reversed(removed))
 
 
+def matrix_peel_predecessors(grid) -> list[int]:
+    """peel_predecessors read off the label matrix: the labels in the
+    cells just above each rectangle's top side and the label in the cell
+    right of its bottom-right cell, as bit masks in label order."""
+    matrix, n = grid.matrix, grid.n
+    masks = []
+    for top, left, bottom, right in (grid.rects[lab] for lab in range(1, n + 1)):
+        mask = 0
+        if top:
+            for above in matrix[top - 1][left : right + 1]:
+                mask |= 1 << above - 1
+        if right + 1 < n:
+            mask |= 1 << matrix[bottom][right + 1] - 1
+        masks.append(mask)
+    return masks
+
+
 def staircase_fiber(grid) -> frozenset[Word]:
     """Every drawing order of the grid, by depth-first search over every
     _removable choice against a staircase of column heights, memoized on

@@ -68,8 +68,8 @@ def test_criterion_03_node_inventory_matches_enumeration():
 
 
 def test_criterion_04_fibers_are_weak_order_intervals():
-    """Each fiber is an interval with the extraction words as extremes, n up to 7."""
-    for n in range(1, 8):
+    """Each fiber is an interval with the extraction words as extremes, n up to 8."""
+    for n in range(1, 9):
         report = verify_inversion(n)
         assert report.ok, report.summary()
 

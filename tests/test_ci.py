@@ -6,6 +6,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CHECK = ROOT / "ci" / "check_expected_failures.py"
 SPANS = ROOT / "bench" / "spans.py"
+MUTANTS = ROOT / "ci" / "mutants.py"
 
 PASSED = '<testcase classname="tests.test_a" name="test_ok" time="0.1"/>'
 SKIPPED = (
@@ -57,3 +58,14 @@ def test_every_traced_layer_is_bound(monkeypatch):
         if not hasattr(importlib.import_module(f"rectflip.{module}"), name)
     ]
     assert spans.LAYERS and unbound == []
+
+
+def test_every_mutant_edits_one_line(monkeypatch):
+    # ci/mutants.py runs each edit in a child process; here only its
+    # target line is looked up, so a moved line fails in Tier-1 too.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("mutants", MUTANTS)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    found = [mutants.target_count(module, line) for _, module, line, _, _ in mutants.EDITS]
+    assert found == [1] * 7

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import rectflip as rf
-from rectflip import flipgraph
+from rectflip import flipgraph, rectangulation
 from rectflip.bijection import baxter_of
 from rectflip.flipgraph import (
     FlipGraph,
@@ -25,7 +25,7 @@ from rectflip.flipgraph import (
 from rectflip.flips import FlipKind, neighbors
 from rectflip.order import inversion_mask, pair_bitsets
 from rectflip.permutation import consecutive_value_swap
-from rectflip.rectangulation import extraction_word, rho
+from rectflip.rectangulation import GridRectangulation, _peel, peel_predecessors, rho
 
 from oracles import (
     between,
@@ -282,8 +282,11 @@ def test_fibers_match_staircase_oracle():
     # Same fibers, yielded in the same order: by first member in
     # lexicographic order, each listing its members in that order.
     for n in range(1, 7):
-        fibers = [(grid.matrix, members) for grid, members in flipgraph._fibers(n)]
-        assert [(m, set(ws)) for m, ws in fibers] == list(brute_fibers(n).items())
+        fibers = list(flipgraph._fibers(n))
+        expected = brute_fibers(n).items()
+        assert [(boxes, set(ws)) for boxes, ws in fibers] == [
+            (GridRectangulation(m).boxes, ws) for m, ws in expected
+        ]
         assert all(members == sorted(members) for _, members in fibers)
 
 
@@ -294,9 +297,9 @@ def test_fibers_are_the_bitset_intervals_of_their_extraction_words():
         words = list(itertools.permutations(range(1, n + 1)))
         masks = [inversion_mask(w) for w in words]
         bitsets = pair_bitsets(masks)
-        for grid, members in flipgraph._fibers(n):
-            lo = extraction_word(grid, "leftmost")
-            hi = extraction_word(grid, "rightmost")
+        for boxes, members in flipgraph._fibers(n):
+            preds = peel_predecessors(boxes)
+            lo, hi = _peel(preds, "leftmost"), _peel(preds, "rightmost")
             found = between(bitsets, len(words), inversion_mask(lo), inversion_mask(hi))
             assert found.bit_count() == len(members)
             assert [w for k, w in enumerate(words) if found >> k & 1] == members
@@ -310,11 +313,11 @@ def _verify_with_fiber(monkeypatch, edit):
     real = flipgraph._fibers
 
     def edited(n):
-        for grid, members in real(n):
+        for boxes, members in real(n):
             if members[0] == (2, 1, 4, 5, 3):
                 assert members == [(2, 1, 4, 5, 3), (2, 4, 1, 5, 3), (2, 4, 5, 1, 3)]
                 members = edit(members)
-            yield grid, members
+            yield boxes, members
 
     monkeypatch.setattr(flipgraph, "_fibers", edited)
     return verify_inversion(5)
@@ -349,8 +352,8 @@ def test_inversion_reports_extremes_in_the_wrong_order(monkeypatch):
         return real(preds, "rightmost" if rule == "leftmost" else "leftmost")
 
     expected = []
-    for grid, members in flipgraph._fibers(4):
-        top = extraction_word(grid, "rightmost")
+    for boxes, members in flipgraph._fibers(4):
+        top = real(peel_predecessors(boxes), "rightmost")
         expected += [
             f"fiber of {rf.format_permutation(top)}: "
             f"{rf.format_permutation(m)} is not between the extremes"
@@ -360,6 +363,22 @@ def test_inversion_reports_extremes_in_the_wrong_order(monkeypatch):
     monkeypatch.setattr(flipgraph, "_peel", swapped)
     assert verify_inversion(4).failures == tuple(expected)
     assert len(expected) == 2
+
+
+def test_inversion_checks_the_extremes_of_a_one_member_fiber(monkeypatch):
+    # The fiber of 1234 is 1234 alone, so it needs no walk; its extraction
+    # words must still be its member.
+    real = flipgraph._peel
+
+    def edited(preds, rule):
+        word = real(preds, rule)
+        return (2, 1, 3, 4) if word == (1, 2, 3, 4) and rule == "rightmost" else word
+
+    assert [ms for _, ms in flipgraph._fibers(4)][0] == [(1, 2, 3, 4)]
+    monkeypatch.setattr(flipgraph, "_peel", edited)
+    report = verify_inversion(4)
+    assert report.failures == ("fiber of 1234: extraction words are not members",)
+    assert report.checked == 22
 
 
 def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
@@ -383,6 +402,23 @@ def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
     monkeypatch.setattr(flipgraph, "_run_box", shifted)
     with pytest.raises(RuntimeError, match="rho draws 2413 off its run boxes"):
         list(flipgraph._fibers(4))
+
+
+def test_fibers_reject_boxes_that_do_not_tile(monkeypatch):
+    # A box rule that widens the box of 2 by one column, used both by the
+    # grouping and by the boxes of each first member, so that the keys
+    # agree; the tiling check that rho runs must still catch it.
+    real = rectangulation._run_box
+
+    def widened(d, placed, n):
+        top, left, bottom, right = real(d, placed, n)
+        return (top, left, bottom, right + 1) if d == 1 else (top, left, bottom, right)
+
+    monkeypatch.setattr(flipgraph, "_run_box", widened)
+    monkeypatch.setattr(rectangulation, "_run_box", widened)
+    message = r"box 3 of rho\(\(1, 2, 3\)\) writes a cell twice"
+    with pytest.raises(ValueError, match=message):
+        list(flipgraph._fibers(3))
 
 
 def test_value_swaps_over_all_words_join_pairs_that_are_not_flips():

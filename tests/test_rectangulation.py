@@ -19,6 +19,7 @@ from rectflip.rectangulation import (
     extraction_word,
     freeze_matrix,
     geometry,
+    peel_predecessors,
     reflect_rows,
     rho,
 )
@@ -29,6 +30,7 @@ from oracles import (
     bst_parents,
     diagonal_tilings,
     find_edge_by_scan,
+    matrix_peel_predecessors,
     minmax_bounding_boxes,
     relabel,
     rho_prime,
@@ -529,6 +531,22 @@ def test_peeling_matches_the_staircase_oracles():
             assert rf.fiber(grid) == staircase_fiber(grid)
             checked += 1
     assert checked == 2619
+
+
+def test_peeling_reads_the_matrix_neighbours_from_boxes():
+    checked = 0
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            grid = rho(word)
+            assert peel_predecessors(grid.boxes) == matrix_peel_predecessors(grid)
+            checked += 1
+    assert checked == 5913
+
+
+@given(words(1, 40))
+def test_peeling_reads_the_matrix_neighbours_from_boxes_sampled(word):
+    grid = rho(word)
+    assert peel_predecessors(grid.boxes) == matrix_peel_predecessors(grid)
 
 
 @given(words(1, 30))
