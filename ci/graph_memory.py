@@ -1,6 +1,6 @@
 """Fail when build(7), grouping S_8, verify_inversion(8), verify_inversion(9)
-or enumerating the Baxter or the separable permutations of size 10 needs
-more memory than its budget, or when either enumeration lists other
+or enumerating the avoiders of size 10 of any of the five pattern classes
+needs more memory than its budget, or when an enumeration lists other
 words than it did before each prefix carried its forbidden slots.
 
 Each check runs in a fresh child process, which prints its own peak
@@ -49,17 +49,26 @@ slowest check here; the bitsets took 34 s.
 
 enumerate_avoiders(10, BAXTER) lists all 326,240 Baxter permutations of
 size 10.  Its budget, 70 MB, sits between the 55-59 MB it peaks at when
-the levels grow as bytes and the sorted last level is turned into tuples
-in place, and the 74-78 MB it takes when the tuples are built as a
-second list while the bytes are still held.  Growing the levels as
-tuples took 62-66 MB, and keeping each word of the last level in a pair
-with its forbidden-slot mask took 96.6 MB, so the last level carries no
-masks.  enumerate_avoiders(10, SEPARABLE) lists the 206,098 separable
-permutations of size 10 and peaks at 43.3 MB, under a 50 MB budget.
-Both checks also compare the SHA-256 of the words' bytes, joined in
-order, with the digest of the list that enumeration returned when it
-rebuilt every completing interval of every prefix.  The digest is taken
-after the peak is read, since importing hashlib alone adds about 3.7 MB.
+the levels grow as bytes and the last level, already in order, is
+turned into tuples in place, and the 74-78 MB it takes when the tuples
+are built as a second list while the bytes are still held.  Growing the
+levels as tuples took 62-66 MB, and keeping each word of the last level
+in a pair with its forbidden-slot mask took 96.6 MB, so the last level
+carries no masks.  Its parents carry no mask tables either: keeping
+them alive into the last level took enumerate_avoiders(10, SEPARABLE)
+from 42.8 to 52.9 MB.  Now that each level grows in order and nothing
+is sorted, Baxter peaks at 58.9 MB (59.4 MB with the final sort), and
+so do the 326,240 twisted Baxter and rightmost-class permutations
+(59.0-59.1 and 58.9-59.0 MB), under the same 70 MB budget.  The 206,098
+separable permutations of size 10 peak at 42.8 MB (43.3 MB with the
+sort) and the 183,666 permutations of the S class at 39.7-39.8 MB
+(40.2 MB), under 50 MB; these peaks are for Python 3.11.7.
+Each check also compares the SHA-256 of the words' bytes, joined in
+order, with a pinned digest: for Baxter and separable, that of the list
+that enumeration returned when it rebuilt every completing interval of
+every prefix; for the other three, that of the list it returned when it
+sorted its last level.  The digest is taken after the peak is read,
+since importing hashlib alone adds about 3.7 MB.
 
 All figures are for Python 3.10 to 3.13 on a 2-CPU x86-64 Linux host.
 """
@@ -108,6 +117,30 @@ CHECKS = (
         "words = enumerate_avoiders(10, BAXTER); "
         "assert len(words) == 326240",
         "6c437337b79b50b326032badf26af512d3c12de54931f97c2a69d3051d5e2377",
+    ),
+    (
+        "enumerate_avoiders(10, TWISTED_BAXTER)",
+        70.0,
+        "from rectflip.permutation import TWISTED_BAXTER, enumerate_avoiders; "
+        "words = enumerate_avoiders(10, TWISTED_BAXTER); "
+        "assert len(words) == 326240",
+        "3e556fdc650a2f848d4311e875327b98775d6b41e7b5f9177b0c3a5a0c09023e",
+    ),
+    (
+        "enumerate_avoiders(10, RIGHTMOST)",
+        70.0,
+        "from rectflip.permutation import RIGHTMOST, enumerate_avoiders; "
+        "words = enumerate_avoiders(10, RIGHTMOST); "
+        "assert len(words) == 326240",
+        "a4085c1bb9a537016ac31ad6c19773f611c20ca58f13d72877b9c9fcb0ec3854",
+    ),
+    (
+        "enumerate_avoiders(10, S_CLASS)",
+        50.0,
+        "from rectflip.permutation import S_CLASS, enumerate_avoiders; "
+        "words = enumerate_avoiders(10, S_CLASS); "
+        "assert len(words) == 183666",
+        "af9f18b5c4dc83b0191a38bcc5cad87774b4f2816ff6bb8bfc87884d2da2da9b",
     ),
     (
         "enumerate_avoiders(10, SEPARABLE)",

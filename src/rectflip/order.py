@@ -16,18 +16,14 @@ from typing import Iterable, Sequence
 from .permutation import BAXTER, Word, enumerate_avoiders
 
 
-def _pair_index(a: int, b: int) -> int:
-    # value pairs (a, b) with 1 <= a < b, packed by the larger element
-    return (b - 1) * (b - 2) // 2 + (a - 1)
-
-
 def inversion_mask(word: Word) -> int:
-    """Inversion set as a bitmask over value pairs."""
-    mask = 0
-    for i, b in enumerate(word):
-        for a in word[i + 1 :]:
-            if a < b:
-                mask |= 1 << _pair_index(a, b)
+    """Inversion set as a bitmask over value pairs, packed by the larger
+    value: pair (a, b) with a < b is bit (b - 1)(b - 2)/2 + a - 1, so the
+    smaller letters after b fill one block of it."""
+    mask = later = 0
+    for b in reversed(word):
+        mask |= (later & (1 << b - 1) - 1) << (b - 1) * (b - 2) // 2
+        later |= 1 << b - 1
     return mask
 
 

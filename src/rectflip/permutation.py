@@ -6,16 +6,18 @@ Patterns are given in dashed notation: ``"2-41-3"`` is the classical
 pattern 2413 with the extra requirement that the 4 and the 1 occupy
 adjacent positions in the host permutation.  An occurrence inside a
 prefix is an occurrence in the whole word, so every standardised prefix
-of an avoider is an avoider, and avoiders are grown one appended letter
-at a time, checking only the occurrences that end at the new letter.
+of an avoider is an avoider.  Enumeration grows the avoiders' reverses,
+which avoid the reversed patterns, one appended letter at a time,
+checking only the occurrences that end at the new letter; building each
+level slot by slot keeps it in order with no sort.
 
-Every pattern of the five classes has the form a-bc-d or a-b-c-d with
-{b, c} = {1, 4}.  For such a pattern enumeration hands each prefix's
-mask of completing slots down to its children: a child keeps its
-parent's slots and adds those completed through its own last letter,
-which can only be an occurrence's third letter.  Any other pattern, and
-every question about one whole word (``contains_vincular``,
-``avoids_class``), is answered by the backtracker of ``_ends_at``.
+Every pattern of the five classes, and its reverse, has the form a-bc-d
+or a-b-c-d with {b, c} = {1, 4}.  For such a pattern enumeration hands
+each prefix's mask of completing slots down to its children: a child
+keeps its parent's slots and adds those completed through its own last
+letter, which can only be an occurrence's third letter.  Any other
+pattern, and every question about one whole word, is answered by the
+backtracker of ``_ends_at``.
 """
 
 from __future__ import annotations
@@ -106,6 +108,11 @@ class VincularPattern:
         pattern = tuple(word)
         check_word(pattern)
         return VincularPattern(pattern, frozenset(glued))
+
+    def reversed(self) -> "VincularPattern":
+        """The pattern read right to left: glued gap i becomes gap k - i."""
+        k = len(self.word)
+        return VincularPattern(self.word[::-1], frozenset(k - i for i in self.glued))
 
     def __str__(self) -> str:
         parts = []
@@ -253,27 +260,29 @@ def avoids_class(word: Word, pclass: PatternClass) -> bool:
 def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
     """All avoiders of the class in lexicographic order.
 
-    Level k grows from level k - 1: the child of a prefix at slot v in
-    1..k raises every entry >= v and appends v.  Every standardised
-    prefix of an avoider is an avoider, so this misses none, and a
-    prefix holds no occurrence, so only occurrences ending at v count.
-    Each prefix carries a mask of the slots that complete an occurrence
-    of a block-family pattern, and only its free slots get a child.  A
-    child's mask is its parent's, carried by ``_carry``, plus the slots
-    completed through its last letter: O(1) for a glued pattern, which
-    sees only the letter before it, and an O(k) table per prefix for an
-    unglued one.  Any other pattern is checked on each child with the
-    backtracker of ``_ends_at``.  Words are bytes, which sort as tuples
-    do, until the sorted last level is turned into tuples; the last
-    level carries no masks.
+    The reverses of the avoiders are grown, since a word avoids a
+    pattern iff its reverse avoids the reversed pattern.  Level k grows
+    from level k - 1: the child of a prefix at slot v in 1..k raises
+    every entry >= v and appends v.  Every standardised prefix of an
+    avoider is an avoider, so this misses none, and only occurrences
+    ending at v count.  Each prefix carries a mask of the slots that
+    complete an occurrence of a block-family pattern, and only its free
+    slots get a child, whose mask is its parent's, carried by ``_carry``,
+    plus the slots completed through its last letter (O(1) for a glued
+    pattern, an O(k) table per prefix for an unglued one).  Any other
+    pattern is checked on each child by ``_ends_at``.  Level k is built
+    slot by slot, so it is in colex order, and the last level, which
+    carries no masks, is reversed into lexicographic order as it becomes
+    tuples.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return [()]
-    family = [p for p in pclass.patterns if _in_block_family(p)]
+    patterns = [p.reversed() for p in pclass.patterns]
+    family = [p for p in patterns if _in_block_family(p)]
     unglued = [p for p in family if not p.glued]
-    others = [p for p in pclass.patterns if not _in_block_family(p)]
+    others = [p for p in patterns if not _in_block_family(p)]
     # rows[b][v]: the glued patterns' slots for a prefix ending in b.
     rows = [
         [reduce(or_, [_glued_slots(p, b, v) for p in family if p.glued], 0) for v in range(n + 1)]
@@ -281,27 +290,34 @@ def enumerate_avoiders(n: int, pclass: PatternClass) -> list[Word]:
     ]
     # raise_from[v] maps each value u >= v to u + 1.
     raise_from = [bytes(min(u + (u >= v), 255) for u in range(256)) for v in range(n + 1)]
+    steps = [(v, raise_from[v], bytes((v,))) for v in range(1, n + 1)]
+
+    def slots_through_last(prefix: bytes) -> list[int]:  # entry v for the child at v
+        new = rows[prefix[-1] if prefix else 0]
+        for pattern in unglued:
+            new = [x | y for x, y in zip(new, _unglued_slots(prefix, pattern))]
+        return new
+
     level = [(b"", 0)]
     for k in range(1, n + 1):
-        grown = []
-        for prefix, mask in level:
-            slots = [v for v in range(1, k + 1) if not mask >> v & 1]
-            children = [prefix.translate(raise_from[v]) + bytes((v,)) for v in slots]
-            if k == n:
-                grown += children
-                continue
-            new = rows[prefix[-1] if prefix else 0]
-            for pattern in unglued:
-                new = [x | y for x, y in zip(new, _unglued_slots(prefix, pattern))]
-            grown += zip(children, [_carry(mask, v) | new[v] for v in slots])
+        if k < n:
+            level = [(w, mask, slots_through_last(w)) for w, mask in level]
+            grown = [
+                (w.translate(up) + end, _carry(mask, v) | new[v])
+                for v, up, end in steps[:k] for w, mask, new in level if not mask >> v & 1
+            ]
+        else:
+            grown = [
+                w.translate(up) + end
+                for v, up, end in steps[:k] for w, mask in level if not mask >> v & 1
+            ]
         if others:
             grown = [
                 c for c in grown
                 if not any(_ends_at(c if k == n else c[0], k - 1, p) for p in others)
             ]
         level = grown
-    level.sort()
     # In place, so the bytes and the tuples are never all held at once.
     for i, word in enumerate(level):
-        level[i] = tuple(word)
+        level[i] = tuple(word[::-1])
     return level

@@ -50,6 +50,22 @@ def test_inversion_mask_counts_and_extremes():
     assert inversion_mask((2, 4, 1, 3)).bit_count() == len(inversion_pairs((2, 4, 1, 3)))
 
 
+def packed(pairs):
+    # Pair (a, b) with a < b is bit (b - 1)(b - 2)/2 + a - 1.
+    return sum(1 << (b - 1) * (b - 2) // 2 + a - 1 for a, b in pairs)
+
+
+def test_inversion_mask_matches_the_pair_oracle_exhaustively():
+    for n in range(0, 8):
+        for word in all_words(n):
+            assert inversion_mask(word) == packed(inversion_pairs(word)), word
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1)).map(tuple)))
+def test_inversion_mask_matches_the_pair_oracle(word):
+    assert inversion_mask(word) == packed(inversion_pairs(word))
+
+
 @given(word_pairs)
 def test_weak_leq_matches_subset_oracle(pair):
     lo, hi = pair

@@ -261,9 +261,36 @@ def test_enumeration_keeps_3142_for_3_12():
 
 
 def test_enumeration_is_lexicographic():
+    # Levels grow reversed and in colex order, with no final sort.
+    for pclass in [*CLASSES_BY_NAME.values(), *EXTRA_CLASSES]:
+        for n in range(0, 9):
+            found = enumerate_avoiders(n, pclass)
+            assert all(a < b for a, b in zip(found, found[1:])), (pclass.name, n)
     found = enumerate_avoiders(4, BAXTER)
-    assert found == sorted(found)
     assert (2, 4, 1, 3) not in found and (3, 1, 4, 2) not in found
+
+
+def test_reversal_mirrors_the_glued_gaps():
+    # Enumeration grows words reversed, so it matches reversed patterns.
+    assert str(VincularPattern.from_dashed("3-12").reversed()) == "21-3"
+    extra = [
+        VincularPattern.from_dashed(d)
+        for d in ("231", "21", "21-4-3", "3-4-12")
+    ]
+    patterns = {
+        *ALL_PATTERNS, *BLOCK_FAMILY, *extra,
+        *(p for cls in EXTRA_CLASSES for p in cls.patterns),
+    }
+    for pattern in patterns:
+        assert pattern.reversed().reversed() == pattern, str(pattern)
+    assert {p.reversed() for p in BLOCK_FAMILY} == set(BLOCK_FAMILY)
+    for n in range(1, 7):
+        for host in itertools.permutations(range(1, n + 1)):
+            for pattern in patterns:
+                back = pattern.reversed()
+                assert brute_contains(host[::-1], back.word, back.glued) == brute_contains(
+                    host, pattern.word, pattern.glued
+                ), (host, str(pattern))
 
 
 def test_baxter_closed_under_inverse():
