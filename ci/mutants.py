@@ -64,8 +64,8 @@ EDITS = (
     (
         "recut with the two labels swapped",
         "flips.py",
-        "a, b = grid.edge_labels(edge)",
-        "b, a = grid.edge_labels(edge)",
+        "a, b = edge.labels",
+        "b, a = edge.labels",
         {"counts", "main", "lr", "char"},
     ),
     (

@@ -152,8 +152,7 @@ def render_svg(grid: GridRectangulation) -> str:
         'stroke="gray" stroke-width="1" stroke-dasharray="6,4"/>'
     )
     font = CELL * 2 // 5
-    for lab in sorted(grid.rects):
-        box = grid.rects[lab]
+    for lab, box in enumerate(grid.boxes, 1):
         cx = x_at(box.left) + (box.right - box.left + 1) * CELL // 2
         cy = y_at(box.top) + (box.bottom - box.top + 1) * CELL // 2
         lines.append(

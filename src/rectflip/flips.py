@@ -92,11 +92,11 @@ def _recut(grid: GridRectangulation, edge: Edge) -> Matrix:
     both ends has no recut.
     """
     pivot = edge.start if edge.matched_start else edge.end if edge.matched_end else edge.line
-    a, b = grid.edge_labels(edge)
+    a, b = edge.labels
     work = [list(row) for row in grid.matrix]
     for lab, lo, hi in ((a, 0, pivot - 1), (b, pivot, grid.n - 1)):
         parts = []
-        for top, left, bottom, right in (grid.rects[a], grid.rects[b]):
+        for top, left, bottom, right in (grid.boxes[a - 1], grid.boxes[b - 1]):
             if edge.orient == "h":
                 left, right = max(left, lo), min(right, hi)
             else:
@@ -134,15 +134,13 @@ def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix |
 
 
 def _check_interior(grid: GridRectangulation, edge: Edge) -> None:
-    # An interior edge is the wall that find_edge draws between the two
-    # labels on either side of its first unit, so no geometry is needed.
-    n, found = grid.n, None
-    if 0 < edge.line < n and 0 <= edge.start < n:
-        try:
-            found = grid.find_edge(*grid.edge_labels(edge))
-        except ValueError:  # the two labels share no wall
-            pass
-    if found != edge:
+    # An interior edge is the wall that find_edge draws between its own
+    # two labels, so no geometry is needed.
+    try:
+        interior = grid.find_edge(*edge.labels) == edge
+    except ValueError:  # the two labels share no wall
+        interior = False
+    if not interior:
         raise ValueError(f"not an interior edge of this drawing: {edge}")
 
 
@@ -157,7 +155,7 @@ def _flip(
     # Flip a flippable edge, given the recut that classifying it returned.
     # Its labels are already canonical: a and b keep their names.
     flipped = rho(block_deletion_word(recut))
-    new_edge = flipped.find_edge(*grid.edge_labels(edge))
+    new_edge = flipped.find_edge(*edge.labels)
     assert new_edge.orient != edge.orient
     return flipped, new_edge
 

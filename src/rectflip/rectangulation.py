@@ -79,7 +79,8 @@ class Edge:
     ``start`` and ``end`` are lattice coordinates along the line: columns
     for a horizontal edge in row ``line``, rows for a vertical edge in
     column ``line``.  An endpoint is matched when the segment carrying
-    the edge continues straight past it.
+    the edge continues straight past it.  ``labels`` are the rectangles
+    on either side, the one above or on the left first.
     """
 
     orient: str
@@ -88,6 +89,7 @@ class Edge:
     end: int
     matched_start: bool
     matched_end: bool
+    labels: tuple[int, int]
 
     @property
     def crosses_diagonal(self) -> bool:
@@ -242,20 +244,22 @@ class GridRectangulation:
     """
 
     matrix: Matrix
-    rects: dict[int, Rect] = field(init=False, repr=False, compare=False)
+    # The rectangles' boxes in label order.
+    boxes: tuple[Rect, ...] = field(init=False, repr=False, compare=False)
 
     @classmethod
     def _of_checked_boxes(
-        cls, matrix: Matrix, rects: dict[int, Rect]
+        cls, matrix: Matrix, boxes: tuple[Rect, ...]
     ) -> GridRectangulation:
-        # A grid whose maker has already checked that rects tile matrix
+        # A grid whose maker has already checked that boxes tile matrix
         # with label i on diagonal cell (i-1, i-1), as rho does.
         grid = object.__new__(cls)
         object.__setattr__(grid, "matrix", matrix)
-        object.__setattr__(grid, "rects", rects)
+        object.__setattr__(grid, "boxes", boxes)
         return grid
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", freeze_matrix(self.matrix))
         n = len(self.matrix)
         if n == 0 or any(len(row) != n for row in self.matrix):
             raise ValueError("matrix must be square and non-empty")
@@ -267,16 +271,11 @@ class GridRectangulation:
                 raise ValueError(
                     f"diagonal cell ({i}, {i}) must hold label {i + 1}"
                 )
-        object.__setattr__(self, "rects", boxes)
+        object.__setattr__(self, "boxes", tuple(map(boxes.get, range(1, n + 1))))
 
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    @property
-    def boxes(self) -> list[Rect]:
-        """The rectangles' boxes in label order."""
-        return list(map(self.rects.__getitem__, range(1, self.n + 1)))
 
     def interior_edges(self) -> tuple[Edge, ...]:
         """Every interior wall piece, ordered by the labels it separates.
@@ -285,14 +284,16 @@ class GridRectangulation:
         rectangle b on its other side lies just right of a's box or just
         below it; :meth:`find_edge` draws the piece between the two.
         Pieces come in the order of their pairs (a, b), which are their
-        :meth:`edge_labels`; a < b in a canonical drawing.
+        ``labels``; a < b in a canonical drawing.
 
         >>> g = rho((3, 1, 2))
         >>> [g.edge_id(e) for e in g.interior_edges()]
         ['1|2:v', '1|3:h', '2|3:h']
+        >>> [e.labels for e in g.interior_edges()]
+        [(1, 2), (1, 3), (2, 3)]
         """
         m, n, pairs = self.matrix, self.n, []
-        for a, (top, left, bottom, right) in self.rects.items():
+        for a, (top, left, bottom, right) in enumerate(self.boxes, 1):
             others = set()
             if right + 1 < n:
                 others.update(row[right + 1] for row in m[top : bottom + 1])
@@ -301,32 +302,17 @@ class GridRectangulation:
             pairs.extend((a, b) for b in others)
         return tuple(self.find_edge(a, b) for a, b in sorted(pairs))
 
-    def edge_labels(self, edge: Edge) -> tuple[int, int]:
-        """The two rectangles an interior edge separates.
-
-        For a horizontal edge the pair is (above, below); for a vertical
-        edge it is (left, right).
-        """
-        assert 0 < edge.line < self.n
-        if edge.orient == "h":
-            return (
-                self.matrix[edge.line - 1][edge.start],
-                self.matrix[edge.line][edge.start],
-            )
-        return (
-            self.matrix[edge.start][edge.line - 1],
-            self.matrix[edge.start][edge.line],
-        )
-
     def find_edge(self, a: int, b: int) -> Edge:
         """The unique interior edge separating rectangles a and b.
 
         It is the overlap of the two boxes' sides on the line where one
         ends and the other starts; no vertex lies inside that overlap.
-        An end is matched when the line is a wall one step past it.
+        An end is matched when the line is a wall one step past it, and
+        the edge's labels put the rectangle above or on the left first.
         """
-        m, box_a, box_b = self.matrix, self.rects.get(a), self.rects.get(b)
-        for x, y in ((box_a, box_b), (box_b, box_a)) if box_a and box_b else ():
+        m, n = self.matrix, self.n
+        for p, q in ((a, b), (b, a)) if 0 < a <= n and 0 < b <= n else ():
+            x, y = self.boxes[p - 1], self.boxes[q - 1]
             if x.bottom + 1 == y.top:
                 orient, line = "h", y.top
                 lo, hi = max(x.left, y.left), min(x.right, y.right) + 1
@@ -338,12 +324,12 @@ class GridRectangulation:
             else:
                 continue
             if lo < hi:
-                matched = (lo > 0 and walled(lo - 1), hi < self.n and walled(hi))
-                return Edge(orient, line, lo, hi, *matched)
+                matched = (lo > 0 and walled(lo - 1), hi < n and walled(hi))
+                return Edge(orient, line, lo, hi, *matched, (p, q))
         raise ValueError(f"rectangles {a} and {b} share no wall")
 
     def edge_id(self, edge: Edge) -> str:
-        a, b = self.edge_labels(edge)
+        a, b = edge.labels
         assert a < b
         return f"{a}|{b}:{edge.orient}"
 
@@ -386,8 +372,9 @@ def rho(word: Word) -> GridRectangulation:
         fill = [j] * (right - left + 1)
         for row in grid[top : bottom + 1]:
             row[left : right + 1] = fill
-    rects = dict(zip(range(1, n + 1), map(Rect._make, boxes)))
-    return GridRectangulation._of_checked_boxes(freeze_matrix(grid), rects)
+    return GridRectangulation._of_checked_boxes(
+        freeze_matrix(grid), tuple(map(Rect._make, boxes))
+    )
 
 
 def _check_tiling(word: Word, boxes: list[tuple[int, int, int, int]]) -> None:
@@ -494,7 +481,7 @@ def peel_predecessors(boxes: list[tuple[int, int, int, int]]) -> list[int]:
 def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
     """Peel rectangles off the top of the drawing; return them in drawing order.
 
-    Rectangles are peeled off ``grid.rects`` from the top down, each once
+    Rectangles are peeled off ``grid.boxes`` from the top down, each once
     its :func:`peel_predecessors` are gone, as the reverse of drawing
     them one by one against a rising staircase, so the result is a
     member of the fiber of the grid.  ``rule`` names the forward drawing

@@ -184,7 +184,7 @@ def staircase_extraction_word(grid, rule: str = "leftmost") -> Word:
     n = grid.n
     heights = (0,) * n
     removed = []
-    remaining = dict(grid.rects)
+    remaining = dict(enumerate(grid.boxes, 1))
     while remaining:
         candidates = [
             (box.left, lab)
@@ -205,7 +205,7 @@ def matrix_peel_predecessors(grid) -> list[int]:
     right of its bottom-right cell, as bit masks in label order."""
     matrix, n = grid.matrix, grid.n
     masks = []
-    for top, left, bottom, right in (grid.rects[lab] for lab in range(1, n + 1)):
+    for top, left, bottom, right in grid.boxes:
         mask = 0
         if top:
             for above in matrix[top - 1][left : right + 1]:
@@ -229,7 +229,7 @@ def staircase_fiber(grid) -> frozenset[Word]:
         if heights not in memo:
             memo[heights] = tuple(
                 (lab,) + tail
-                for lab, box in grid.rects.items()
+                for lab, box in enumerate(grid.boxes, 1)
                 if _removable(box, heights, n)
                 for tail in removal_suffixes(_lowered(heights, box))
             )
@@ -355,7 +355,7 @@ def twin_trees(grid) -> TwinTrees:
     n = grid.n
     lower: dict[int, int | None] = {}
     upper: dict[int, int | None] = {}
-    for lab, box in grid.rects.items():
+    for lab, box in enumerate(grid.boxes, 1):
         t, l, b, rr = box
         # lower parent, read off the bottom-left corner
         if b == n - 1 and l == 0:
@@ -401,9 +401,14 @@ def swept_edges(matrix) -> list:
 
     Each maximal run of unit walls on a line is cut at every point that
     a perpendicular unit wall touches; a piece's end is matched when the
-    run goes on past it.
+    run goes on past it.  A piece's labels are read from the cells on
+    either side of its first unit, above or left first, with 0 for a
+    cell outside the drawing.
     """
     nrows, ncols = len(matrix), len(matrix[0])
+
+    def cell(r: int, c: int) -> int:
+        return matrix[r][c] if 0 <= r < nrows and 0 <= c < ncols else 0
 
     def hwall(r: int, c: int) -> bool:
         # unit wall on lattice row r, spanning columns c..c+1
@@ -415,7 +420,7 @@ def swept_edges(matrix) -> list:
 
     edges = []
 
-    def sweep(orient: str, line: int, length: int, present, crossed) -> None:
+    def sweep(orient: str, line: int, length: int, present, crossed, beside) -> None:
         t = 0
         while t < length:
             if not present(t):
@@ -426,17 +431,21 @@ def swept_edges(matrix) -> list:
                 t += 1
             stops = [start, *(u for u in range(start + 1, t) if crossed(u)), t]
             for lo, hi in zip(stops, stops[1:]):
-                edges.append(rf.Edge(orient, line, lo, hi, lo > start, hi < t))
+                edges.append(
+                    rf.Edge(orient, line, lo, hi, lo > start, hi < t, beside(lo))
+                )
 
     for r in range(nrows + 1):
         sweep(
             "h", r, ncols, lambda c, r=r: hwall(r, c),
             lambda c, r=r: r > 0 and vwall(r - 1, c) or r < nrows and vwall(r, c),
+            lambda c, r=r: (cell(r - 1, c), cell(r, c)),
         )
     for c in range(ncols + 1):
         sweep(
             "v", c, nrows, lambda r, c=c: vwall(r, c),
             lambda r, c=c: c > 0 and hwall(r, c - 1) or c < ncols and hwall(r, c),
+            lambda r, c=c: (cell(r, c - 1), cell(r, c)),
         )
     return edges
 
@@ -446,11 +455,11 @@ def swept_interior_edges(grid) -> tuple:
     return tuple(e for e in swept_edges(grid.matrix) if 0 < e.line < grid.n)
 
 
-def find_edge_by_scan(grid, edges, a: int, b: int):
-    """The interior edge separating rectangles a and b, by testing every
-    edge in edges, the grid's interior edges."""
+def find_edge_by_scan(edges, a: int, b: int):
+    """The interior edge separating rectangles a and b, by testing the
+    labels of every edge in edges, a grid's swept interior edges."""
     for e in edges:
-        if set(grid.edge_labels(e)) == {a, b}:
+        if set(e.labels) == {a, b}:
             return e
     raise ValueError(f"rectangles {a} and {b} share no wall")
 
@@ -460,7 +469,7 @@ def recut_cells(grid, edge, pivot):
     listing their cells: the matrix with the cells before the line given
     the edge's first label and the rest its second, or None when either
     part is empty or does not fill its bounding box."""
-    a, b = grid.edge_labels(edge)
+    a, b = edge.labels
     cells = [
         (r, c)
         for r, row in enumerate(grid.matrix)

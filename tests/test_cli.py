@@ -152,7 +152,7 @@ def _listed_flips_match_drawn_flips(grid):
             continue
         result, new_edge = rf.flip(grid, edges[edge_id])
         assert word == rf.format_permutation(rf.baxter_of(result))
-        assert result.edge_labels(new_edge) == grid.edge_labels(edges[edge_id])
+        assert new_edge.labels == edges[edge_id].labels
         flipped += 1
     return flipped
 

@@ -71,7 +71,7 @@ WORKED_EXAMPLE_TABLE = (
 def test_classification_of_worked_example():
     g = rho((4, 1, 6, 5, 3, 7, 2))
     rows = []
-    for e in sorted(g.interior_edges(), key=lambda e: (*g.edge_labels(e), e.orient)):
+    for e in sorted(g.interior_edges(), key=lambda e: (*e.labels, e.orient)):
         fc = classify_edge(g, e)
         target = "-"
         if fc.flippable:
@@ -111,9 +111,9 @@ def test_classify_rejects_foreign_edge():
         classify_edge(g, stranger)
 
 
-def _near_misses(edge):
-    # The edge with one field shifted by one, one flag flipped or the
-    # orientation swapped.
+def _near_misses(edge, n):
+    # The edge with one field shifted by one, one flag flipped, the
+    # orientation swapped, or its labels swapped or naming no rectangle.
     yield edge
     for name in ("line", "start", "end"):
         for step in (-1, 1):
@@ -121,18 +121,27 @@ def _near_misses(edge):
     yield dataclasses.replace(edge, matched_start=not edge.matched_start)
     yield dataclasses.replace(edge, matched_end=not edge.matched_end)
     yield dataclasses.replace(edge, orient="v" if edge.orient == "h" else "h")
+    a, b = edge.labels
+    for labels in ((b, a), (0, b), (a, n + 1)):
+        yield dataclasses.replace(edge, labels=labels)
 
 
 def test_interior_check_accepts_exactly_the_interior_edges():
-    # Every wall piece of every drawing, boundary pieces included, and
-    # its near misses: classify_edge and flip take the interior pieces
-    # and reject everything else with the same message.
-    rejected = 0
+    # Every wall piece of every drawing, boundary pieces included, its
+    # near misses and the interior pieces of the drawing before it that
+    # it lacks: classify_edge and flip take the interior pieces and
+    # reject everything else with the same message, never with an
+    # IndexError or a KeyError.
+    rejected = foreign = 0
     for n in range(1, 7):
+        previous = set()
         for g in grids(n):
             interior = set(g.interior_edges())
-            candidates = {m for e in swept_edges(g.matrix) for m in _near_misses(e)}
-            for e in candidates:
+            strangers = previous - interior
+            foreign += len(strangers)
+            previous = interior
+            candidates = {m for e in swept_edges(g.matrix) for m in _near_misses(e, n)}
+            for e in candidates | strangers:
                 if e in interior:
                     fc = classify_edge(g, e)
                     if fc.flippable:
@@ -148,7 +157,7 @@ def test_interior_check_accepts_exactly_the_interior_edges():
                         check(g, e)
                     assert type(exc.value) is ValueError
                     assert str(exc.value) == message
-    assert rejected > 0
+    assert rejected > 0 and foreign > 0
 
 
 def test_flips_leave_no_cache_on_graph_grids():
@@ -160,7 +169,7 @@ def test_flips_leave_no_cache_on_graph_grids():
         for e in g.interior_edges():
             if classify_edge(g, e).flippable:
                 flip(g, e)
-        assert vars(g).keys() == {"matrix", "rects"}
+        assert vars(g).keys() == {"matrix", "boxes"}
 
 
 def _rotation_kind(e):
@@ -183,7 +192,7 @@ def test_crossing_behaviour_by_class():
     for n in range(2, 6):
         for g in grids(n):
             for e in g.interior_edges():
-                a, b = g.edge_labels(e)
+                a, b = e.labels
                 kind = classify_edge(g, e).kind
                 if e.crosses_diagonal:
                     assert b == a + 1
@@ -262,14 +271,14 @@ def test_corner_kinds_at_matched_junctions():
                 if e.matched_count != 1:
                     continue
                 kind = classify_edge(g, e).kind
-                a, b = g.edge_labels(e)
+                box_a, box_b = (g.boxes[lab - 1] for lab in e.labels)
                 if e.matched_start:
-                    pa = (g.rects[a].top, g.rects[a].left)
-                    pb = (g.rects[b].top, g.rects[b].left)
+                    pa = (box_a.top, box_a.left)
+                    pb = (box_b.top, box_b.left)
                     key = (e.orient, "start")
                 else:
-                    pa = (g.rects[a].bottom + 1, g.rects[a].right + 1)
-                    pb = (g.rects[b].bottom + 1, g.rects[b].right + 1)
+                    pa = (box_a.bottom + 1, box_a.right + 1)
+                    pb = (box_b.bottom + 1, box_b.right + 1)
                     key = (e.orient, "end")
                 pair = (verts[pa], verts[pb])
                 if kind is FlipKind.ROTATION_BARCELONA:
@@ -330,13 +339,13 @@ def test_neighbors_scans_each_recut_once(monkeypatch):
         assert len(scanned) == sum(e.matched_count == 1 for e in g.interior_edges())
 
 
-def _pivots(g, e):
+def _pivots(e):
     # The pivot _classify recuts an edge at (None for an edge matched at
     # both ends), and the other endpoints.
     if e.matched_count == 2:
         return None, (e.start, e.end)
     if e.matched_count == 0:
-        return g.edge_labels(e)[0], ()
+        return e.labels[0], ()
     if e.matched_start:
         return e.start, (e.end,)
     return e.end, (e.start,)
@@ -352,7 +361,7 @@ def test_recut_matches_cell_oracle():
     for n in range(1, 7):
         for g in grids(n):
             for e in g.interior_edges():
-                pivot, others = _pivots(g, e)
+                pivot, others = _pivots(e)
                 if pivot is not None:
                     expected = recut_cells(g, e, pivot)
                     assert expected is not None
@@ -372,7 +381,7 @@ def test_recut_matches_cell_oracle():
 def test_recut_matches_cell_oracle_on_large_drawings(word):
     g = rho(word)
     for e in g.interior_edges():
-        pivot, others = _pivots(g, e)
+        pivot, others = _pivots(e)
         if pivot is not None:
             assert _recut(g, e) == recut_cells(g, e, pivot)
         for other in others:
@@ -397,7 +406,7 @@ def test_simple_recuts_are_canonical():
                     continue
                 assert diagonal_obstruction(recut) is None
                 assert block_deletion_word(reflect_rows(recut)) == identity
-                a, b = g.edge_labels(e)
+                a, b = e.labels
                 if flip_class.kind is FlipKind.ROTATION_BARCELONA:
                     assert recut[a - 1][a - 1] == recut[b - 1][b - 1]
                 else:

@@ -86,7 +86,7 @@ def test_rho_matches_staircase_insertion_exhaustively():
         for word in itertools.permutations(range(1, n + 1)):
             grid = rho(word)
             assert grid.matrix == staircase_rho(word)
-            assert grid.rects == bounding_boxes(grid.matrix)
+            assert dict(enumerate(grid.boxes, 1)) == bounding_boxes(grid.matrix)
             checked += 1
     assert checked == 5913
 
@@ -128,7 +128,7 @@ BAD_BOXES_3 = [
 
 @pytest.mark.parametrize("boxes, message", BAD_BOXES_3)
 def test_rho_rejects_boxes_that_do_not_tile(monkeypatch, boxes, message):
-    assert rho((1, 2, 3)).rects == {1: (0, 0, 2, 0), 2: (0, 1, 2, 1), 3: (0, 2, 2, 2)}
+    assert rho((1, 2, 3)).boxes == ((0, 0, 2, 0), (0, 1, 2, 1), (0, 2, 2, 2))
     monkeypatch.setattr(rectangulation, "_run_boxes", lambda word: boxes)
     with pytest.raises(ValueError, match=message):
         rho((1, 2, 3))
@@ -230,7 +230,7 @@ def test_geometry_of_vertical_cut():
 
 def _swept_by_labels(grid):
     # The wall sweep's interior pieces, in the order of their two labels.
-    return tuple(sorted(swept_interior_edges(grid), key=grid.edge_labels))
+    return tuple(sorted(swept_interior_edges(grid), key=lambda e: e.labels))
 
 
 def test_interior_edges_match_the_sweep():
@@ -260,13 +260,14 @@ def test_interior_edge_ids_of_worked_example():
         "3|7:v", "4|5:v", "4|6:v", "5|6:h", "5|7:v", "6|7:v",
     ]
     edge = grid.find_edge(5, 6)
-    assert edge.orient == "h" and grid.edge_labels(edge) == (5, 6)
+    assert edge.orient == "h" and edge.labels == (5, 6)
     with pytest.raises(ValueError):
         grid.find_edge(1, 6)
 
 
 def test_find_edge_matches_scan_oracle():
-    # every ordered pair of distinct labels, walls shared or not
+    # every ordered pair of distinct labels, walls shared or not, with 0
+    # and n + 1 among them, which name no rectangle
     def outcome(find, *args):
         try:
             return find(*args)
@@ -278,18 +279,30 @@ def test_find_edge_matches_scan_oracle():
         for w in rf.enumerate_avoiders(n, rf.BAXTER):
             grid = rho(w)
             edges = swept_interior_edges(grid)
-            for a, b in itertools.permutations(range(1, n + 1), 2):
+            for a, b in itertools.permutations(range(n + 2), 2):
                 pairs += 1
-                expected = outcome(find_edge_by_scan, grid, edges, a, b)
+                expected = outcome(find_edge_by_scan, edges, a, b)
                 assert outcome(grid.find_edge, a, b) == expected
-    assert pairs == 14804
+    assert pairs == 28306
 
 
 def test_grid_keeps_validated_boxes():
     grid = rho((4, 1, 6, 5, 3, 7, 2))
-    assert grid.rects == bounding_boxes(grid.matrix)
+    assert dict(enumerate(grid.boxes, 1)) == bounding_boxes(grid.matrix)
     assert grid == GridRectangulation(grid.matrix)
     assert hash(grid) == hash(GridRectangulation(grid.matrix))
+
+
+def test_grid_freezes_a_matrix_given_as_lists():
+    # A grid built from lists is the grid built from tuples, and later
+    # changes to the lists do not reach it.
+    rows = [[1, 2], [1, 2]]
+    grid = GridRectangulation(rows)
+    assert grid == GridRectangulation(((1, 2), (1, 2)))
+    assert hash(grid) == hash(GridRectangulation(((1, 2), (1, 2))))
+    rows[0][1] = rows[1][1] = 1
+    assert grid.matrix == ((1, 2), (1, 2))
+    assert [grid.edge_id(e) for e in grid.interior_edges()] == ["1|2:v"]
 
 
 def test_diagonal_crossing_flag():
