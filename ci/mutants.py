@@ -90,6 +90,15 @@ EDITS = (
         set(SUITES),
     ),
     (
+        # Not placed | 1 << d: _run_box ignores bit d, so that reads the
+        # same box and is no mutant.
+        "run-box table filled for the placed set one value down",
+        "flipgraph.py",
+        "(slice(4 * d, 4 * d + 4), d + 1, 1 << d, bytes(_run_box(d, placed, n)))",
+        "(slice(4 * d, 4 * d + 4), d + 1, 1 << d, bytes(_run_box(d, placed >> 1, n)))",
+        {"counts", "inversion"},
+    ),
+    (
         "box peel looks right at column right",
         "rectangulation.py",
         "for lo, hi, bit in starting.get(right + 1, ()):",

@@ -271,24 +271,30 @@ def _group(n: int) -> dict[bytes, list[bytes]]:
     # draws for it, in lexicographic order.  The walk extends a prefix by
     # one unplaced value at a time.  The values placed after that value
     # are exactly the unplaced ones, so its box is fixed then and is
-    # written into the prefix's key.
+    # written into the prefix's key.  The box depends only on the value
+    # and the set placed, so table[placed] lists once, for each unplaced
+    # value v = d + 1 in increasing order, its key slot, v, its bit and
+    # the four bytes of its box.
     groups: dict[bytes, list[bytes]] = {}
     key = bytearray(4 * n)
     word = bytearray(n)
-    full = (1 << n) - 1
+    table = [
+        [
+            (slice(4 * d, 4 * d + 4), d + 1, 1 << d, bytes(_run_box(d, placed, n)))
+            for d in range(n)
+            if not placed >> d & 1
+        ]
+        for placed in range(1 << n)
+    ]
 
     def place(k: int, placed: int) -> None:
-        free = full ^ placed
-        while free:
-            bit = free & -free
-            free ^= bit
-            d = bit.bit_length() - 1
-            key[4 * d : 4 * d + 4] = _run_box(d, placed, n)
-            word[k] = d + 1
+        for slot, v, bit, box in table[placed]:
+            key[slot] = box
+            word[k] = v
             if k + 1 < n:
                 place(k + 1, placed | bit)
-                continue
-            groups.setdefault(bytes(key), []).append(bytes(word))
+            else:
+                groups.setdefault(bytes(key), []).append(bytes(word))
 
     place(0, 0)
     return groups
@@ -340,6 +346,36 @@ def verify_counts(n: int) -> VerificationReport:
     return VerificationReport("counts", n, checked, tuple(failures))
 
 
+def _interval_problems(lo: Word, hi: Word, fiber: set[Word]) -> list[str]:
+    # The failure lines of the walk up from lo that verify_inversion
+    # describes: each member it misses and, when it reaches hi, each word
+    # it reaches that is not a member.
+    n = len(lo)
+    rank = [0] * (n + 1)  # rank[v] is the position of v in hi
+    for i, v in enumerate(hi):
+        rank[v] = i
+    walked, todo = {lo}, [lo]
+    while todo:
+        w = todo.pop()
+        for i in range(n - 1):
+            x, y = w[i], w[i + 1]
+            if x < y and rank[y] < rank[x]:
+                up = w[:i] + (y, x) + w[i + 2 :]
+                if up not in walked:
+                    walked.add(up)
+                    todo.append(up)
+    problems = [
+        f"{format_permutation(w)} is not between the extremes"
+        for w in sorted(fiber - walked)
+    ]
+    # Unless lo lies below hi, the walk misses hi and [lo, hi] is empty.
+    for w in sorted(walked - fiber) if hi in walked else ():
+        problems.append(
+            f"{format_permutation(w)} is between the extremes but not a member"
+        )
+    return problems
+
+
 def verify_inversion(n: int) -> VerificationReport:
     """Fibers are weak-order intervals with the stated extremes and members.
 
@@ -363,39 +399,28 @@ def verify_inversion(n: int) -> VerificationReport:
         fibers += 1
         preds = peel_predecessors(boxes)
         lo, hi = _peel(preds, "leftmost"), _peel(preds, "rightmost")
-        fiber, problems = set(members), []
-        if lo not in fiber or hi not in fiber:
+        if len(members) == 1:
+            # A one-member fiber is its interval when lo = hi = its member.
+            ends, problems = lo == hi == members[0], []
+        else:
+            fiber = set(members)
+            ends = lo in fiber and hi in fiber
+            problems = _interval_problems(lo, hi, fiber) if ends else []
+        if not ends:
             problems.append("extraction words are not members")
         else:
-            # A one-member fiber is its interval, since lo = hi = its member.
-            walked, todo = {lo}, [lo] if len(fiber) > 1 else []
-            rank = {v: i for i, v in enumerate(hi)}
-            while todo:
-                w = todo.pop()
-                for i in range(n - 1):
-                    x, y = w[i], w[i + 1]
-                    if x < y and rank[y] < rank[x]:
-                        up = w[:i] + (y, x) + w[i + 2 :]
-                        if up not in walked:
-                            walked.add(up)
-                            todo.append(up)
-            for w in sorted(fiber - walked):
-                problems.append(f"{format_permutation(w)} is not between the extremes")
-            # Unless lo lies below hi, the walk misses hi and [lo, hi] is empty.
-            for w in sorted(walked - fiber) if hi in walked else ():
-                problems.append(
-                    f"{format_permutation(w)} is between the extremes but not a member"
-                )
             seen = twice = 0
             for m in members:
-                twice |= seen & bits.get(m, 0)
-                seen |= bits.get(m, 0)
+                b = bits.get(m, 0)
+                twice |= seen & b
+                seen |= b
             if seen != 0b111 or twice:  # some class has no member here, or two
                 for k, pclass in enumerate(classes):
                     hits = sum(bits.get(m, 0) >> k & 1 for m in members)
                     if hits != 1:
                         problems.append(f"{hits} members avoid {pclass.name}")
-        failures += [f"fiber of {format_permutation(lo)}: {p}" for p in problems]
+        for p in problems:
+            failures.append(f"fiber of {format_permutation(lo)}: {p}")
     return VerificationReport("inversion", n, fibers, tuple(failures))
 
 

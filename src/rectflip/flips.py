@@ -138,7 +138,7 @@ def _check_interior(grid: GridRectangulation, edge: Edge) -> None:
     # two labels, so no geometry is needed.
     try:
         interior = grid.find_edge(*edge.labels) == edge
-    except ValueError:  # the two labels share no wall
+    except (TypeError, ValueError):  # not two int labels, or two with no wall
         interior = False
     if not interior:
         raise ValueError(f"not an interior edge of this drawing: {edge}")

@@ -501,20 +501,24 @@ def extraction_word(grid: GridRectangulation, rule: str = "leftmost") -> Word:
 def _peel(preds: list[int], rule: str) -> Word:
     # extraction_word(grid, rule), given peel_predecessors(grid.boxes).
     n = len(preds)
-    # Each step peels the first free label of this preference order.
-    pending = list(range(n - 1, -1, -1) if rule == "leftmost" else range(n))
+    # Each step peels the first free label of this preference order and
+    # writes it from the end of the word.  "leftmost" scans the labels
+    # still drawn from the top bit down, "rightmost" from the bottom up.
+    high = rule == "leftmost"
     drawn = (1 << n) - 1  # bit i set while label i + 1 is still drawn
-    peeled = []
-    while pending:
-        for k, i in enumerate(pending):
+    word = [0] * n
+    for k in range(n - 1, -1, -1):
+        rest = drawn
+        while rest:
+            i = (rest if high else rest & -rest).bit_length() - 1
             if not preds[i] & drawn:
                 break
+            rest ^= 1 << i
         else:
             raise AssertionError("no rectangle is free to peel")
-        del pending[k]
         drawn ^= 1 << i
-        peeled.append(i + 1)
-    return tuple(reversed(peeled))
+        word[k] = i + 1
+    return tuple(word)
 
 
 def _delete_bottom_left(work: list[list[int]]) -> int:

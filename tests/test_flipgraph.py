@@ -381,20 +381,29 @@ def test_inversion_checks_the_extremes_of_a_one_member_fiber(monkeypatch):
     assert report.checked == 22
 
 
+def test_group_matches_a_direct_grouping_of_every_word():
+    # Grouping each word of S_n by the key of its own run boxes gives the
+    # same fibers as the walk over its run-box table: the same keys in the
+    # same order, each with the same members in the same order.
+    for n in range(1, 8):
+        direct = {}
+        for w in itertools.permutations(range(1, n + 1)):
+            key = flipgraph._box_key(rectangulation._run_boxes(w))
+            direct.setdefault(key, []).append(bytes(w))
+        grouped = flipgraph._group(n)
+        assert list(grouped.items()) == list(direct.items())
+
+
 def test_fibers_reject_a_box_the_drawing_lacks(monkeypatch):
-    # 2143 and 2413 draw the same grid; a shifted box for 2413 alone
-    # would split their fiber in two if the keys were not checked.  The
-    # walk places values one at a time, so the shift goes on the box of
-    # 1 where it is placed after the prefix 2-4; the prefix 4-2 has the
-    # same values placed, and keeps its box.
+    # 2143 and 2413 draw the same grid; a shifted box for 2413 would split
+    # their fiber in two if the keys were not checked.  The run-box table
+    # holds one box per value and set placed before it, so the shift goes
+    # on the box of 1 when {2, 4} is placed, which 2413 and 4213 read.
     real = flipgraph._run_box
-    prefix = []
 
     def shifted(d, placed, n):
-        del prefix[placed.bit_count() :]
-        prefix.append(d + 1)
         top, left, bottom, right = real(d, placed, n)
-        if prefix == [2, 4, 1]:
+        if d == 0 and placed == 0b1010:
             return top, left + 1, bottom, right + 1
         return top, left, bottom, right
 

@@ -160,6 +160,22 @@ def test_interior_check_accepts_exactly_the_interior_edges():
     assert rejected > 0 and foreign > 0
 
 
+def test_interior_check_rejects_labels_that_are_not_two_ints():
+    # An edge whose labels are not a pair of ints is not an interior edge
+    # either, and gets the same ValueError, not a TypeError from
+    # unpacking or comparing them.  The check does not depend on the
+    # drawing, so one drawing is enough.
+    g = rho((2, 4, 1, 3))
+    edge = g.interior_edges()[0]
+    for labels in (("1", "2"), (1, 2, 3), None):
+        e = dataclasses.replace(edge, labels=labels)
+        for check in (classify_edge, flip):
+            with pytest.raises(ValueError) as exc:
+                check(g, e)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == f"not an interior edge of this drawing: {e}"
+
+
 def test_flips_leave_no_cache_on_graph_grids():
     # The graph's drawings keep their matrix and boxes and nothing else,
     # however they have been flipped and classified.
