@@ -62,9 +62,9 @@ def fiber(grid: GridRectangulation) -> frozenset[Word]:
 def baxter_of(grid: GridRectangulation) -> Word:
     """The Baxter representative of the fiber.
 
-    Read off by bottom-left block deletion (:func:`block_deletion_word`)
-    without enumerating the fiber, so it works at any size; the tests
-    hold it to the fiber's one avoider of ``BAXTER``.
+    Read off by corner deletion on the drawing's boxes
+    (:func:`block_deletion_word`), not the fiber, so it works at any
+    size; the tests hold it to the fiber's one avoider of ``BAXTER``.
     """
     return block_deletion_word(grid.matrix)
 

@@ -28,7 +28,7 @@ from .flipgraph import (
     verify_theorem_lr,
     verify_theorem_main,
 )
-from .flips import EdgeUnflippable, FlipKind, _edge_recuts, flip
+from .flips import EdgeUnflippable, FlipKind, _classify, _edge_flips, flip
 from .permutation import (
     CLASSES_BY_NAME,
     enumerate_avoiders,
@@ -39,7 +39,6 @@ from .rectangulation import (
     GridRectangulation,
     Matrix,
     NotRectangularError,
-    block_deletion_word,
     rho,
 )
 
@@ -134,8 +133,8 @@ def render_svg(grid: GridRectangulation) -> str:
         f'  <rect x="{x_at(0)}" y="{y_at(0)}" width="{side}" height="{side}" '
         'fill="white" stroke="black" stroke-width="2"/>',
     ]
-    for edge, flip_class, _ in _edge_recuts(grid):
-        color = KIND_COLOR[flip_class.kind]
+    for edge in grid.interior_edges():
+        color = KIND_COLOR[_classify(grid, edge)[0].kind]
         if edge.orient == "h":
             x1, y1 = x_at(edge.start), y_at(edge.line)
             x2, y2 = x_at(edge.end), y_at(edge.line)
@@ -207,10 +206,10 @@ def cmd_perms(args) -> int:
 
 def cmd_flips(args) -> int:
     grid = _load_grid(args.grid)
-    for edge, flip_class, recut in _edge_recuts(grid):
-        # each result is named by its recut's Baxter word, undrawn
-        word = "-" if recut is None else format_permutation(block_deletion_word(recut))
-        print(f"{grid.edge_id(edge)}  {flip_class}  {word}")
+    for edge, flip_class, word in _edge_flips(grid):
+        # each result is named by its Baxter word, undrawn
+        shown = "-" if word is None else format_permutation(word)
+        print(f"{grid.edge_id(edge)}  {flip_class}  {shown}")
     return 0
 
 

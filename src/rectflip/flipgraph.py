@@ -17,7 +17,7 @@ from functools import cache
 from typing import Iterator
 
 from .bijection import baxter_of
-from .flips import FlipKind, _edge_recuts
+from .flips import FlipKind, _edge_flips
 from .order import drec_covers
 from .permutation import (
     BAXTER,
@@ -34,7 +34,6 @@ from .rectangulation import (
     _peel,
     _run_box,
     _run_boxes,
-    block_deletion_word,
     peel_predecessors,
     rho,
 )
@@ -79,9 +78,8 @@ def build(n: int) -> FlipGraph:
     key_of = dict(zip(words, words))
     directed: Counter = Counter()
     for w, grid in grids.items():
-        for _, flip_class, recut in _edge_recuts(grid):
-            if flip_class.flippable:
-                directed[w, key_of[block_deletion_word(recut)], flip_class.kind] += 1
+        flips = _edge_flips(grid)
+        directed.update((w, key_of[u], fc.kind) for _, fc, u in flips if u is not None)
     edges: dict[Pair, dict[FlipKind, int]] = {}
     for (w, w2, kind), count in directed.items():
         assert directed[w2, w, kind] == count

@@ -15,13 +15,14 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
+from .permutation import Word
 from .rectangulation import (
     Edge,
     GridRectangulation,
-    Matrix,
-    block_deletion_word,
+    Rect,
+    _paint,
+    corner_deletion_word,
     diagonal_obstruction,
-    freeze_matrix,
     rho,
 )
 
@@ -79,7 +80,7 @@ class EdgeUnflippable(ValueError):
         self.flip_class = flip_class
 
 
-def _recut(grid: GridRectangulation, edge: Edge) -> Matrix:
+def _recut(grid: GridRectangulation, edge: Edge) -> dict[int, Rect]:
     """Recut the two rectangles at ``edge`` across it, at its pivot.
 
     The pivot is a lattice coordinate along the edge: a column for a
@@ -88,12 +89,12 @@ def _recut(grid: GridRectangulation, edge: Edge) -> Matrix:
     otherwise the edge's line, which is also its first label.  The parts
     of both boxes before the pivot fill one box, which takes the edge's
     first label, and the parts after it another, which takes its second
-    (notes/decisions.md, "A recut has one pivot").  An edge matched at
-    both ends has no recut.
+    (notes/decisions.md, "A recut has one pivot"); the other labels keep
+    their boxes.  An edge matched at both ends has no recut.
     """
     pivot = edge.start if edge.matched_start else edge.end if edge.matched_end else edge.line
     a, b = edge.labels
-    work = [list(row) for row in grid.matrix]
+    recut = dict(enumerate(grid.boxes, 1))
     for lab, lo, hi in ((a, 0, pivot - 1), (b, pivot, grid.n - 1)):
         parts = []
         for top, left, bottom, right in (grid.boxes[a - 1], grid.boxes[b - 1]):
@@ -104,25 +105,24 @@ def _recut(grid: GridRectangulation, edge: Edge) -> Matrix:
             if top <= bottom and left <= right:
                 parts.append((top, left, bottom, right))
         tops, lefts, bottoms, rights = zip(*parts)
-        left, right = min(lefts), max(rights)
-        for r in range(min(tops), max(bottoms) + 1):
-            work[r][left : right + 1] = [lab] * (right - left + 1)
-    return freeze_matrix(work)
+        recut[lab] = Rect(min(tops), min(lefts), max(bottoms), max(rights))
+    return recut
 
 
-def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, Matrix | None]:
+def _classify(grid: GridRectangulation, edge: Edge) -> tuple[FlipClass, dict | None]:
     # The class of an interior edge and, if it is flippable, its recut.
     # A simple edge's box holds the diagonal cells of a and a + 1, so
     # the recut at coordinate a leaves each rectangle its own diagonal
-    # cell: a canonical drawing that no obstruction scan need check.
-    # Law-Reading recuts are canonical too, and every flippable recut
-    # keeps each label's place on the diagonal (notes/decisions.md).
+    # cell: a canonical drawing that no obstruction scan need check, so
+    # only recuts at a matched end are drawn.  Law-Reading recuts are
+    # canonical too, and every flippable recut keeps each label's place
+    # on the diagonal (notes/decisions.md).
     if edge.matched_count == 2:
         return FlipClass(FlipKind.UNFLIPPABLE_BOTH_MATCHED), None
     recut = _recut(grid, edge)
     if edge.matched_count == 0:
         return FlipClass(FlipKind.SIMPLE), recut
-    if diagonal_obstruction(recut) is not None:
+    if diagonal_obstruction(_paint(recut.values())) is not None:
         if edge.orient == "h":
             subtype = 1 if edge.matched_start else 2
         else:
@@ -149,17 +149,6 @@ def classify_edge(grid: GridRectangulation, edge: Edge) -> FlipClass:
     return _classify(grid, edge)[0]
 
 
-def _flip(
-    grid: GridRectangulation, edge: Edge, recut: Matrix
-) -> tuple[GridRectangulation, Edge]:
-    # Flip a flippable edge, given the recut that classifying it returned.
-    # Its labels are already canonical: a and b keep their names.
-    flipped = rho(block_deletion_word(recut))
-    new_edge = flipped.find_edge(*edge.labels)
-    assert new_edge.orient != edge.orient
-    return flipped, new_edge
-
-
 def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge]:
     """Replace ``edge`` by the perpendicular wall piece.
 
@@ -171,18 +160,20 @@ def flip(grid: GridRectangulation, edge: Edge) -> tuple[GridRectangulation, Edge
     flip_class, recut = _classify(grid, edge)
     if not flip_class.flippable:
         raise EdgeUnflippable(edge, flip_class)
-    return _flip(grid, edge, recut)
+    # The recut's labels are already canonical: a and b keep their names.
+    flipped = rho(corner_deletion_word(recut))
+    return flipped, flipped.find_edge(*edge.labels)
 
 
-def _edge_recuts(
+def _edge_flips(
     grid: GridRectangulation,
-) -> Iterator[tuple[Edge, FlipClass, Matrix | None]]:
-    # Every interior edge in the order of its two labels, its class and,
-    # if it is flippable, its recut: a drawing of the flip result with
-    # the input's labels, free of diagonal obstructions.  neighbors,
-    # rectflip flips and SVG renderings list edges in this order.
+) -> Iterator[tuple[Edge, FlipClass, Word | None]]:
+    # Each interior edge in label order, its class and, if it is flippable,
+    # its result's Baxter word, read off its recut by corner deletion
+    # (notes/decisions.md, "A recut keeps its labels' diagonal order").
     for edge in grid.interior_edges():
-        yield edge, *_classify(grid, edge)
+        flip_class, recut = _classify(grid, edge)
+        yield edge, flip_class, None if recut is None else corner_deletion_word(recut)
 
 
 def neighbors(
@@ -190,12 +181,12 @@ def neighbors(
 ) -> list[tuple[GridRectangulation, FlipClass, Edge]]:
     """Flip results over all flippable edges, ordered by their two labels.
 
-    Each edge is classified once and its result drawn as a canonical grid
-    from the recut its classification returned; ``flipgraph.build`` and
-    ``rectflip flips`` name each result by that recut's Baxter word, undrawn.
+    Each edge is classified once, its result named by the Baxter word
+    that corner deletion reads off its recut's boxes, and drawn by
+    ``rho`` of that word; ``flipgraph.build`` and ``rectflip flips`` read
+    the same words and draw nothing.
     """
-    recuts = _edge_recuts(grid)
-    return [(_flip(grid, e, r)[0], fc, e) for e, fc, r in recuts if fc.flippable]
+    return [(rho(w), fc, e) for e, fc, w in _edge_flips(grid) if w is not None]
 
 
 def law_reading_edges(grid: GridRectangulation) -> frozenset[Edge]:

@@ -50,8 +50,11 @@ def bounding_boxes(matrix: Matrix) -> dict[int, Rect]:
 
     Each run of one label in a row opens the label's box or must extend
     it down by one row, with the same columns.  Labels keep the order the
-    rows first show them in, and a failure names the first bad one.
+    rows first show them in, and a failure names the first bad one.  A
+    matrix with no cells or rows of unequal length raises ValueError.
     """
+    if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
+        raise ValueError("rows must be non-empty and of equal length")
     boxes: dict[int, list[int]] = {}
     bad = set()
     for r, row in enumerate(matrix):
@@ -367,14 +370,20 @@ def rho(word: Word) -> GridRectangulation:
         raise ValueError("rho needs a non-empty word")
     boxes = _run_boxes(word)
     _check_tiling(word, boxes)
+    return GridRectangulation._of_checked_boxes(
+        _paint(boxes), tuple(map(Rect._make, boxes))
+    )
+
+
+def _paint(boxes) -> Matrix:
+    # The n-by-n matrix of n boxes in label order, each painted over those before.
+    n = len(boxes)
     grid = [[0] * n for _ in range(n)]
     for j, (top, left, bottom, right) in enumerate(boxes, 1):
         fill = [j] * (right - left + 1)
         for row in grid[top : bottom + 1]:
             row[left : right + 1] = fill
-    return GridRectangulation._of_checked_boxes(
-        freeze_matrix(grid), tuple(map(Rect._make, boxes))
-    )
+    return freeze_matrix(grid)
 
 
 def _check_tiling(word: Word, boxes: list[tuple[int, int, int, int]]) -> None:
@@ -521,42 +530,50 @@ def _peel(preds: list[int], rule: str) -> Word:
     return tuple(word)
 
 
-def _delete_bottom_left(work: list[list[int]]) -> int:
-    # Remove the rectangle at the bottom-left corner of a mutable copy of
-    # a drawing, in place, and return its label.  Either its neighbours
-    # to the right slide left or its neighbours above slide down; exactly
-    # one of the two keeps every remaining part a rectangle.  Only label
-    # equality is consulted, so any drawing convention works.
-    nrows, ncols = len(work), len(work[0])
-    bottom = work[-1]
-    lab = bottom[0]
-    t = nrows - 1
-    while t > 0 and work[t - 1][0] == lab:
-        t -= 1
-    rr = 0
-    while rr + 1 < ncols and bottom[rr + 1] == lab:
-        rr += 1
-    if t == 0 and rr + 1 == ncols:
-        raise ValueError("cannot delete the last rectangle")
-    right_ok = rr + 1 < ncols and (t == 0 or work[t - 1][rr] == work[t - 1][rr + 1])
-    top_ok = t > 0 and (rr + 1 == ncols or work[t - 1][rr + 1] == work[t][rr + 1])
-    # neither sliding direction applying would put four rectangles
-    # around the corner point; both applying would make the neighbour
-    # L-shaped
-    assert right_ok != top_ok
-    if right_ok:
-        for r in range(t, nrows):
-            row = work[r]
-            row[: rr + 1] = [row[rr + 1]] * (rr + 1)
-    else:
-        above = work[t - 1][: rr + 1]
-        for r in range(t, nrows):
-            work[r][: rr + 1] = above
-    return lab
+def corner_deletion_word(boxes: dict[int, Rect]) -> tuple[int, ...]:
+    """Labels of the tiling by ``boxes`` in bottom-left corner deletion order.
+
+    ``boxes`` maps labels to boxes that tile a grid of any shape.  The
+    corner box spans rows t to the last and columns 0 to rr.  The boxes
+    with left rr + 1 and top >= t slide left over it if it stops short of
+    the right side and no box ending on row t - 1 ends at column rr;
+    otherwise those with bottom t - 1 and right <= rr slide down
+    (notes/decisions.md, "Corner deletion reads boxes").  Raises
+    ValueError where neither slide applies.
+    """
+    last = max(box.bottom for box in boxes.values())
+    width = max(box.right for box in boxes.values()) + 1
+    # Labels by current left column and bottom row; tops and rights never
+    # change, and the left column and last row are never looked up.
+    by_left: dict[int, set[int]] = {}
+    by_bottom: dict[int, set[int]] = {}
+    for lab, (_, left, bottom, _) in boxes.items():
+        by_left.setdefault(left, set()).add(lab)
+        by_bottom.setdefault(bottom, set()).add(lab)
+    corner = next(k for k in by_left[0] if boxes[k].bottom == last)
+    order = []
+    while len(order) + 1 < len(boxes):
+        t, _, _, rr = boxes[corner]
+        above, beside = by_bottom.get(t - 1, ()), by_left.get(rr + 1, ())
+        right_ok = rr + 1 < width and all(boxes[k].right != rr for k in above)
+        top_ok = t > 0 and all(boxes[k].top != t for k in beside)
+        if right_ok == top_ok:
+            raise ValueError(f"four rectangles meet at corner point ({t}, {rr + 1})")
+        order.append(corner)
+        if right_ok:
+            movers = [k for k in beside if boxes[k].top >= t]
+            beside.difference_update(movers)
+            corner = max(movers, key=lambda k: boxes[k].top)
+        else:
+            movers = [k for k in above if boxes[k].right <= rr]
+            above.difference_update(movers)
+            corner = min(movers, key=lambda k: boxes[k].right)
+    order.append(corner)
+    return tuple(order)
 
 
 def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:
-    """Labels in bottom-left deletion order.
+    """Labels of a drawing in bottom-left corner deletion order.
 
     The rectangle deleted first is the one inserted first, so on a
     canonical grid this reads out a member of the fiber directly: the
@@ -565,13 +582,10 @@ def block_deletion_word(matrix: Matrix) -> tuple[int, ...]:
     drawing's equivalence class under wall slides.  On the row-reflected
     drawing it deletes top-left corners, which lists a canonical grid or
     any flippable recut as 1..n (notes/decisions.md, "A recut keeps its
-    labels' diagonal order").
+    labels' diagonal order").  It raises ValueError on ragged rows, on a
+    label that fills no rectangle and where four rectangles meet.
     """
-    work = [list(row) for row in matrix]
-    count = len({lab for row in work for lab in row})
-    order = [_delete_bottom_left(work) for _ in range(count - 1)]
-    order.append(work[-1][0])
-    return tuple(order)
+    return corner_deletion_word(bounding_boxes(matrix))
 
 
 def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
@@ -586,8 +600,6 @@ def canonicalize(matrix) -> tuple[GridRectangulation, dict[int, int]]:
     Flips skip the ranking: a recut's labels are their own ranks.
     """
     matrix = freeze_matrix(matrix)
-    if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
-        raise ValueError("rows must be non-empty and of equal length")
     bounding_boxes(matrix)
     violation = diagonal_obstruction(matrix)
     if violation is not None:

@@ -569,6 +569,53 @@ def _top_left_deletion_ranks(matrix) -> dict[int, int]:
                     work[r][c] = v
 
 
+def delete_bottom_left(work: list[list[int]]) -> int:
+    """Remove the rectangle at the bottom-left corner of a mutable copy of
+    a drawing, in place, and return its label.
+
+    Either its neighbours to the right slide left or its neighbours
+    above slide down; exactly one of the two keeps every remaining part
+    a rectangle.  Only label equality is consulted, so any drawing
+    convention works.  This is the cell form of
+    ``rectangulation.corner_deletion_word``, which slides boxes.
+    """
+    nrows, ncols = len(work), len(work[0])
+    bottom = work[-1]
+    lab = bottom[0]
+    t = nrows - 1
+    while t > 0 and work[t - 1][0] == lab:
+        t -= 1
+    rr = 0
+    while rr + 1 < ncols and bottom[rr + 1] == lab:
+        rr += 1
+    if t == 0 and rr + 1 == ncols:
+        raise ValueError("cannot delete the last rectangle")
+    right_ok = rr + 1 < ncols and (t == 0 or work[t - 1][rr] == work[t - 1][rr + 1])
+    top_ok = t > 0 and (rr + 1 == ncols or work[t - 1][rr + 1] == work[t][rr + 1])
+    # neither sliding direction applying would put four rectangles
+    # around the corner point; both applying would make the neighbour
+    # L-shaped
+    assert right_ok != top_ok
+    if right_ok:
+        for r in range(t, nrows):
+            row = work[r]
+            row[: rr + 1] = [row[rr + 1]] * (rr + 1)
+    else:
+        above = work[t - 1][: rr + 1]
+        for r in range(t, nrows):
+            work[r][: rr + 1] = above
+    return lab
+
+
+def cell_deletion_word(matrix) -> tuple[int, ...]:
+    """Labels in bottom-left deletion order, sliding cells of a copy."""
+    work = [list(row) for row in matrix]
+    count = len({lab for row in work for lab in row})
+    order = [delete_bottom_left(work) for _ in range(count - 1)]
+    order.append(work[-1][0])
+    return tuple(order)
+
+
 def inversion_pairs(word: Word) -> frozenset[tuple[int, int]]:
     n = len(word)
     pos = {v: i for i, v in enumerate(word)}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,11 +12,21 @@ from rectflip.bijection import (
     rightmost_of,
     twisted_baxter_of,
 )
+from rectflip.flips import _classify
 from rectflip.permutation import avoids_class, contains_vincular
-from rectflip.rectangulation import _delete_bottom_left, rho
+from rectflip.rectangulation import (
+    NotRectangularError,
+    Rect,
+    _paint,
+    corner_deletion_word,
+    reflect_rows,
+    rho,
+)
 
 from oracles import (
     antidiagonal_reading,
+    cell_deletion_word,
+    delete_bottom_left,
     slash_consistency_problems,
     slash_representative,
     unique_class_member,
@@ -76,16 +87,71 @@ def test_eight_rectangle_fiber():
 
 def test_block_deletion_single_steps():
     work = [[1, 2], [1, 2]]
-    assert _delete_bottom_left(work) == 1 and work == [[2, 2], [2, 2]]
+    assert delete_bottom_left(work) == 1 and work == [[2, 2], [2, 2]]
     work = [[1, 1], [2, 2]]
-    assert _delete_bottom_left(work) == 2 and work == [[1, 1], [1, 1]]
+    assert delete_bottom_left(work) == 2 and work == [[1, 1], [1, 1]]
     with pytest.raises(ValueError):
-        _delete_bottom_left([[1]])
+        delete_bottom_left([[1]])
 
 
 def test_block_deletion_words_of_cuts():
     assert block_deletion_word(((1, 2), (1, 2))) == (1, 2)
     assert block_deletion_word(((1, 1), (2, 2))) == (2, 1)
+    assert block_deletion_word(((7,),)) == (7,)
+    assert corner_deletion_word({1: Rect(0, 0, 1, 0), 2: Rect(0, 1, 1, 1)}) == (1, 2)
+
+
+@pytest.mark.parametrize("matrix", [((1, 2, 1),), ((1, 1), (1, 2)), ((1, 2), (2, 1))])
+def test_block_deletion_rejects_labels_that_fill_no_rectangle(matrix):
+    with pytest.raises(NotRectangularError) as info:
+        block_deletion_word(matrix)
+    assert str(info.value) == "label 1 does not fill a rectangle"
+
+
+def test_block_deletion_names_a_four_way_junction():
+    with pytest.raises(ValueError) as info:
+        block_deletion_word(((1, 2), (3, 4)))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "four rectangles meet at corner point (1, 1)"
+
+
+@pytest.mark.parametrize("matrix", [(), ((),), ((1, 2), (1,))])
+def test_block_deletion_rejects_ragged_matrices(matrix):
+    with pytest.raises(ValueError) as info:
+        block_deletion_word(matrix)
+    assert str(info.value) == "rows must be non-empty and of equal length"
+
+
+# Drawings of other shapes or labels, as canonicalize takes them: the
+# first two are inputs of its tests.
+CANONICALIZE_INPUTS = (
+    ((1, 1), (2, 3)),
+    ((1, 1, 2), (3, 4, 2), (3, 5, 5)),
+    ((1, 2), (1, 2)),
+    ((1, 1), (2, 2)),
+    ((5, 5, 5), (9, 2, 2)),
+)
+
+
+def test_box_deletion_matches_cell_oracle():
+    # Box and cell deletion give the same word on every Baxter drawing
+    # with n <= 6 and every flippable recut of it, on seeded rho drawings
+    # with n = 7..60 and on the canonicalize inputs, each also reflected.
+    grids = [rho(w) for n in range(1, 7) for w in rf.enumerate_avoiders(n, rf.BAXTER)]
+    rng = random.Random(7)
+    grids += [rho(tuple(rng.sample(range(1, n + 1), n))) for n in range(7, 61)]
+    recuts = []
+    for grid in grids[:545]:
+        for edge in grid.interior_edges():
+            boxes = _classify(grid, edge)[1]
+            if boxes is not None:
+                recut = _paint(boxes.values())
+                assert corner_deletion_word(boxes) == cell_deletion_word(recut)
+                recuts.append(recut)
+    assert (len(grids), len(recuts)) == (545 + 54, 3674)
+    for matrix in (*(g.matrix for g in grids), *recuts, *CANONICALIZE_INPUTS):
+        for m in (matrix, reflect_rows(matrix)):
+            assert block_deletion_word(m) == cell_deletion_word(m)
 
 
 def test_block_deletion_agrees_with_fiber_filter():

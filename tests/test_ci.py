@@ -68,4 +68,4 @@ def test_every_mutant_edits_one_line(monkeypatch):
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     found = [mutants.target_count(module, line) for _, module, line, _, _ in mutants.EDITS]
-    assert found == [1] * 8
+    assert found == [1] * 9

@@ -20,6 +20,7 @@ from rectflip.flips import (
 )
 from rectflip.rectangulation import (
     GridRectangulation,
+    _paint,
     block_deletion_word,
     diagonal_obstruction,
     geometry,
@@ -381,7 +382,7 @@ def test_recut_matches_cell_oracle():
                 if pivot is not None:
                     expected = recut_cells(g, e, pivot)
                     assert expected is not None
-                    assert _recut(g, e) == expected
+                    assert _paint(_recut(g, e).values()) == expected
                     recuts[e.matched_count] += 1
                 for other in others:
                     assert recut_cells(g, e, other) is None
@@ -399,7 +400,7 @@ def test_recut_matches_cell_oracle_on_large_drawings(word):
     for e in g.interior_edges():
         pivot, others = _pivots(e)
         if pivot is not None:
-            assert _recut(g, e) == recut_cells(g, e, pivot)
+            assert _paint(_recut(g, e).values()) == recut_cells(g, e, pivot)
         for other in others:
             assert recut_cells(g, e, other) is None
 
@@ -415,11 +416,12 @@ def test_simple_recuts_are_canonical():
         identity = tuple(range(1, n + 1))
         for g in grids(n):
             for e in g.interior_edges():
-                flip_class, recut = _classify(g, e)
+                flip_class, boxes = _classify(g, e)
                 if e.matched_count == 0:
                     assert flip_class.kind is FlipKind.SIMPLE
                 if not flip_class.flippable:
                     continue
+                recut = _paint(boxes.values())
                 assert diagonal_obstruction(recut) is None
                 assert block_deletion_word(reflect_rows(recut)) == identity
                 a, b = e.labels
@@ -440,24 +442,25 @@ def test_recut_ranks_are_the_identity_on_large_drawings(word):
     g = rho(word)
     identity = tuple(range(1, g.n + 1))
     for e in g.interior_edges():
-        flip_class, recut = _classify(g, e)
+        flip_class, boxes = _classify(g, e)
         if flip_class.flippable:
+            recut = _paint(boxes.values())
             assert block_deletion_word(reflect_rows(recut)) == identity
 
 
 def test_build_deletes_corners_once_per_flip(monkeypatch):
     # Each directed flip of build(5) reads one Baxter word off its
-    # recut and ranks nothing.
+    # recut's boxes and ranks nothing.
     calls = []
 
-    def counting(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def counting(boxes):
+        calls.append(boxes)
+        return real(boxes)
 
-    real = rf.rectangulation.block_deletion_word
+    real = rf.rectangulation.corner_deletion_word
     for module in (rf.rectangulation, rf.flips, rf.flipgraph, rf.bijection):
-        if hasattr(module, "block_deletion_word"):
-            monkeypatch.setattr(module, "block_deletion_word", counting)
+        if hasattr(module, "corner_deletion_word"):
+            monkeypatch.setattr(module, "corner_deletion_word", counting)
     fg = build.__wrapped__(5)
     assert sum(sum(tags.values()) for tags in fg.edges.values()) == 262
     assert len(calls) == 524

@@ -12,6 +12,7 @@ from rectflip.permutation import avoids_class
 from rectflip.rectangulation import (
     GridRectangulation,
     NotDiagonalError,
+    _paint,
     _run_boxes,
     bounding_boxes,
     canonicalize,
@@ -402,12 +403,12 @@ def test_canonicalize_fixes_canonical_grids():
 
 
 def _recuts(grid):
-    # What a flip hands to canonicalization: the recut that classifying
-    # each flippable edge returns.
+    # What a flip hands to corner deletion: the recut that classifying
+    # each flippable edge returns, drawn.
     for edge in grid.interior_edges():
         recut = _classify(grid, edge)[1]
         if recut is not None:
-            yield recut
+            yield _paint(recut.values())
 
 
 def test_canonical_ranks_match_top_left_deletion_oracle():
